@@ -9,7 +9,7 @@
 //   textmr_cli gen graph OUT.txt [--pages N]
 //   textmr_cli run APP INPUT... --out DIR [--reducers R] [--freq] [--matcher]
 //              [--topk K] [--sample S] [--buffer MB] [--report]
-//              [--hash-combine] [--hash-shards N]
+//              [--hash-combine]
 //              [--simd-tokenize scalar|swar|simd|auto]
 //              [--skew-partitioner] [--skew-split-threshold X]
 //              [--trace FILE] [--trace-jsonl FILE] [--metrics-json FILE]
@@ -49,6 +49,10 @@ struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> options;
   std::set<std::string> flags;
+  // Every name a lookup asked for. A parsed option or flag outside this
+  // set is a typo or does nothing for the subcommand: rejected, not
+  // silently ignored.
+  mutable std::set<std::string> read;
 
   static Args parse(int argc, char** argv) {
     Args args;
@@ -72,17 +76,40 @@ struct Args {
     return args;
   }
 
-  std::uint64_t u64(const std::string& name, std::uint64_t fallback) const {
+  /// The option's value, or null when it was not given.
+  const std::string* option(const std::string& name) const {
+    read.insert(name);
     auto it = options.find(name);
-    return it == options.end() ? fallback
-                               : std::strtoull(it->second.c_str(), nullptr, 10);
+    return it == options.end() ? nullptr : &it->second;
+  }
+  std::uint64_t u64(const std::string& name, std::uint64_t fallback) const {
+    const std::string* value = option(name);
+    return value == nullptr ? fallback
+                            : std::strtoull(value->c_str(), nullptr, 10);
   }
   double f64(const std::string& name, double fallback) const {
-    auto it = options.find(name);
-    return it == options.end() ? fallback
-                               : std::strtod(it->second.c_str(), nullptr);
+    const std::string* value = option(name);
+    return value == nullptr ? fallback : std::strtod(value->c_str(), nullptr);
   }
-  bool flag(const std::string& name) const { return flags.count(name) > 0; }
+  bool flag(const std::string& name) const {
+    read.insert(name);
+    return flags.count(name) > 0;
+  }
+
+  /// Names every given option or flag that no lookup read; true if any.
+  /// Subcommands call it after their last lookup, before doing any work.
+  bool reject_unread() const {
+    bool rejected = false;
+    const auto reject = [&](const std::string& name) {
+      if (read.count(name) > 0) return;
+      std::fprintf(stderr, "error: unknown or unused option --%s\n",
+                   name.c_str());
+      rejected = true;
+    };
+    for (const auto& [name, value] : options) reject(name);
+    for (const auto& name : flags) reject(name);
+    return rejected;
+  }
 };
 
 int usage() {
@@ -94,7 +121,7 @@ int usage() {
                "  textmr_cli gen graph OUT [--pages N]\n"
                "  textmr_cli run APP INPUT... --out DIR [--reducers R]\n"
                "             [--freq] [--matcher] [--topk K] [--sample S]\n"
-               "             [--hash-combine] [--hash-shards N]\n"
+               "             [--hash-combine]\n"
                "             [--simd-tokenize scalar|swar|simd|auto]\n"
                "             [--buffer MB] [--report]\n"
                "             [--skew-partitioner] [--skew-split-threshold X]\n"
@@ -147,6 +174,7 @@ int cmd_gen(const Args& args) {
     spec.vocabulary = args.u64("vocab", 100'000);
     spec.alpha = args.f64("alpha", 1.0);
     spec.seed = args.u64("seed", 42);
+    if (args.reject_unread()) return usage();
     const auto stats = textgen::generate_corpus(spec, args.positional[2]);
     std::printf("wrote %s: %llu words, %llu lines, %.1f MB\n",
                 args.positional[2].c_str(),
@@ -160,6 +188,7 @@ int cmd_gen(const Args& args) {
     spec.num_visits = args.u64("visits", 200'000);
     spec.num_urls = args.u64("urls", 20'000);
     spec.seed = args.u64("seed", 7);
+    if (args.reject_unread()) return usage();
     const auto stats = textgen::generate_access_log(spec, args.positional[2],
                                                     args.positional[3]);
     std::printf("wrote %llu visits (%.1f MB) + %llu rankings\n",
@@ -172,6 +201,7 @@ int cmd_gen(const Args& args) {
     textgen::WebGraphSpec spec;
     spec.num_pages = args.u64("pages", 100'000);
     spec.seed = args.u64("seed", 13);
+    if (args.reject_unread()) return usage();
     const auto stats = textgen::generate_web_graph(spec, args.positional[2]);
     std::printf("wrote %s: %llu pages, %llu edges, %.1f MB\n",
                 args.positional[2].c_str(),
@@ -191,10 +221,8 @@ int cmd_gen(const Args& args) {
 std::optional<mr::JobSpec> build_job_spec(const Args& args) {
   const auto bundle = bundle_for(args.positional[1]);
   if (!bundle.has_value()) return std::nullopt;
-  auto out_it = args.options.find("out");
-  if (out_it == args.options.end() || args.positional.size() < 3) {
-    return std::nullopt;
-  }
+  const std::string* out = args.option("out");
+  if (out == nullptr || args.positional.size() < 3) return std::nullopt;
 
   mr::JobSpec spec;
   spec.name = bundle->name;
@@ -212,18 +240,13 @@ std::optional<mr::JobSpec> build_job_spec(const Args& args) {
   spec.use_spill_matcher = args.flag("matcher");
   // --hash-combine swaps the map-side sort pipeline for the sharded
   // hash-combine path (DESIGN.md §15); output is byte-identical.
-  if (args.flag("hash-combine")) {
-    spec.combine_mode = mr::CombineMode::kHash;
-    spec.hash_combine_shards = static_cast<std::uint32_t>(
-        args.u64("hash-shards", spec.hash_combine_shards));
-  }
+  if (args.flag("hash-combine")) spec.combine_mode = mr::CombineMode::kHash;
   // --simd-tokenize selects the word-tokenizer kernel (scalar|swar|simd|
   // auto). Process-global; every kernel is oracle-equivalent, so a worker
   // need not agree with its coordinator.
-  if (const auto tok = args.options.find("simd-tokenize");
-      tok != args.options.end()) {
+  if (const std::string* tok = args.option("simd-tokenize")) {
     text::TokenizeMode mode;
-    if (!text::parse_tokenize_mode(tok->second, mode)) return std::nullopt;
+    if (!text::parse_tokenize_mode(*tok, mode)) return std::nullopt;
     text::set_tokenize_mode(mode);
   }
   if (args.flag("freq")) {
@@ -239,12 +262,12 @@ std::optional<mr::JobSpec> build_job_spec(const Args& args) {
   // --skew-split-threshold sets the split bar in average-partition
   // multiples (a key splits once it alone carries X partitions' share).
   if (args.flag("skew-partitioner") ||
-      args.options.count("skew-split-threshold") > 0) {
+      args.option("skew-split-threshold") != nullptr) {
     spec.skew.enabled = true;
     spec.skew.split_threshold =
         args.f64("skew-split-threshold", spec.skew.split_threshold);
   }
-  const std::filesystem::path out_dir = out_it->second;
+  const std::filesystem::path out_dir = *out;
   spec.output_dir = out_dir / "out";
   spec.scratch_dir = out_dir / "scratch";
 
@@ -252,17 +275,16 @@ std::optional<mr::JobSpec> build_job_spec(const Args& args) {
   // the environment) arms deterministic fault sites; --max-task-attempts
   // bounds per-task re-execution (1 = fail fast).
   failpoint::arm_from_env();
-  if (const auto fp = args.options.find("failpoints");
-      fp != args.options.end()) {
-    failpoint::arm_from_spec(fp->second);
+  if (const std::string* fp = args.option("failpoints")) {
+    failpoint::arm_from_spec(*fp);
   }
   spec.max_task_attempts =
       static_cast<std::uint32_t>(args.u64("max-task-attempts", 3));
 
   // Tracing must be decided here (not in cmd_run) because workers also
   // need it on: a worker only ships trace chunks when its spec says so.
-  spec.trace.enabled = args.options.count("trace") > 0 ||
-                       args.options.count("trace-jsonl") > 0;
+  spec.trace.enabled = args.option("trace") != nullptr ||
+                       args.option("trace-jsonl") != nullptr;
   return spec;
 }
 
@@ -274,9 +296,10 @@ int cmd_run(const Args& args) {
   // Observability exports: --trace FILE (Chrome trace JSON for
   // chrome://tracing / Perfetto), --trace-jsonl FILE (one event per
   // line), --metrics-json FILE (the structured job report).
-  const auto trace_path = args.options.find("trace");
-  const auto jsonl_path = args.options.find("trace-jsonl");
-  const auto metrics_path = args.options.find("metrics-json");
+  const std::string* trace_path = args.option("trace");
+  const std::string* jsonl_path = args.option("trace-jsonl");
+  const std::string* metrics_path = args.option("metrics-json");
+  const bool report = args.flag("report");
 
   // --cluster-workers N runs the job on the multi-process ClusterEngine
   // (N forked workers, heartbeats, speculative execution) instead of the
@@ -285,18 +308,16 @@ int cmd_run(const Args& args) {
   // frames and pulls shuffle data over per-worker shuffle servers;
   // --external-workers N reserves N of the slots for processes started
   // separately with `textmr_cli worker --connect` (DESIGN.md §14).
-  mr::JobResult result;
-  if (const std::uint64_t workers = args.u64("cluster-workers", 0);
-      workers > 0) {
-    cluster::ClusterConfig config;
+  const std::uint64_t workers = args.u64("cluster-workers", 0);
+  cluster::ClusterConfig config;
+  if (workers > 0) {
     config.num_workers = static_cast<std::uint32_t>(workers);
     config.speculation = !args.flag("no-speculation");
-    if (const auto t = args.options.find("transport");
-        t != args.options.end()) {
-      config.transport = cluster::parse_transport_kind(t->second);
+    if (const std::string* t = args.option("transport")) {
+      config.transport = cluster::parse_transport_kind(*t);
     }
-    if (const auto l = args.options.find("listen"); l != args.options.end()) {
-      const auto ep = parse_endpoint(l->second, /*allow_port_zero=*/true);
+    if (const std::string* l = args.option("listen")) {
+      const auto ep = parse_endpoint(*l, /*allow_port_zero=*/true);
       if (!ep.has_value()) return usage();
       config.listen = *ep;
       config.transport = cluster::TransportKind::kTcp;  // --listen implies tcp
@@ -306,7 +327,7 @@ int cmd_run(const Args& args) {
     if (config.external_workers > 0) {
       config.transport = cluster::TransportKind::kTcp;
     }
-    if (args.options.count("io-timeout-ms") > 0) {
+    if (args.option("io-timeout-ms") != nullptr) {
       config.io_timeout_ms =
           static_cast<std::int32_t>(args.u64("io-timeout-ms", 0));
     } else if (config.transport == cluster::TransportKind::kTcp) {
@@ -314,6 +335,11 @@ int cmd_run(const Args& args) {
     }
     config.liveness_timeout_ms =
         static_cast<std::uint32_t>(args.u64("liveness-timeout-ms", 0));
+  }
+  if (args.reject_unread()) return usage();
+
+  mr::JobResult result;
+  if (workers > 0) {
     cluster::ClusterEngine engine(config);
     if (config.external_workers > 0) {
       const cluster::Endpoint* ep = engine.listen_endpoint();
@@ -327,24 +353,24 @@ int cmd_run(const Args& args) {
   } else {
     result = mr::LocalEngine().run(spec);
   }
-  if (args.flag("report")) {
+  if (report) {
     std::fputs(mr::format_job_report(result, spec.name).c_str(), stdout);
   } else {
     std::printf("%s\n", mr::format_job_summary(result).c_str());
   }
-  if (trace_path != args.options.end()) {
-    obs::write_file(trace_path->second, obs::format_chrome_trace(result.trace));
+  if (trace_path != nullptr) {
+    obs::write_file(*trace_path, obs::format_chrome_trace(result.trace));
     std::printf("trace: %s (%zu events, %llu dropped)\n",
-                trace_path->second.c_str(), result.trace.events.size(),
+                trace_path->c_str(), result.trace.events.size(),
                 static_cast<unsigned long long>(result.trace.dropped_events));
   }
-  if (jsonl_path != args.options.end()) {
-    obs::write_file(jsonl_path->second, obs::format_trace_jsonl(result.trace));
+  if (jsonl_path != nullptr) {
+    obs::write_file(*jsonl_path, obs::format_trace_jsonl(result.trace));
   }
-  if (metrics_path != args.options.end()) {
-    obs::write_file(metrics_path->second,
+  if (metrics_path != nullptr) {
+    obs::write_file(*metrics_path,
                     mr::format_job_metrics_json(result, spec.name));
-    std::printf("metrics: %s\n", metrics_path->second.c_str());
+    std::printf("metrics: %s\n", metrics_path->c_str());
   }
   std::printf("output: %zu part files under %s\n", result.outputs.size(),
               spec.output_dir.string().c_str());
@@ -359,19 +385,19 @@ int cmd_run(const Args& args) {
 int cmd_worker(const Args& args) {
   auto spec_opt = build_job_spec(args);
   if (!spec_opt.has_value()) return usage();
-  const auto connect_it = args.options.find("connect");
-  if (connect_it == args.options.end()) return usage();
-  const auto endpoint =
-      parse_endpoint(connect_it->second, /*allow_port_zero=*/false);
+  const std::string* connect = args.option("connect");
+  if (connect == nullptr) return usage();
+  const auto endpoint = parse_endpoint(*connect, /*allow_port_zero=*/false);
   if (!endpoint.has_value()) return usage();
 
   cluster::RemoteWorkerOptions options;
   options.idle_timeout_ms =
       static_cast<std::uint32_t>(args.u64("idle-timeout-ms", 0));
-  if (args.options.count("io-timeout-ms") > 0) {
+  if (args.option("io-timeout-ms") != nullptr) {
     options.io_timeout_ms =
         static_cast<std::int32_t>(args.u64("io-timeout-ms", 0));
   }
+  if (args.reject_unread()) return usage();
   std::printf("worker connecting to %s\n", endpoint->to_string().c_str());
   std::fflush(stdout);
   const int code = cluster::run_remote_worker(*endpoint, *spec_opt, options);

@@ -130,6 +130,9 @@ void put_metrics(WireWriter& w, const mr::TaskMetrics& m) {
   w.u64(m.map_output_bytes);
   w.u64(m.freq_hits);
   w.u64(m.freq_flushes);
+  w.u64(m.hash_combine_hits);
+  w.u64(m.hash_combine_flushes);
+  w.u64(m.hash_combine_demotions);
   w.u64(m.spill_input_records);
   w.u64(m.spill_input_bytes);
   w.u64(m.spilled_records);
@@ -158,6 +161,9 @@ mr::TaskMetrics get_metrics(WireReader& r) {
   m.map_output_bytes = r.u64();
   m.freq_hits = r.u64();
   m.freq_flushes = r.u64();
+  m.hash_combine_hits = r.u64();
+  m.hash_combine_flushes = r.u64();
+  m.hash_combine_demotions = r.u64();
   m.spill_input_records = r.u64();
   m.spill_input_bytes = r.u64();
   m.spilled_records = r.u64();

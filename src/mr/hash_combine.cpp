@@ -55,14 +55,8 @@ HashCombineShards::HashCombineShards(
       next_run_path_(std::move(next_run_path)),
       metrics_(metrics),
       trace_(trace) {
-  TEXTMR_CHECK(config_.num_shards >= 1 && config_.num_shards <= 64,
-               "hash-combine shard count out of range");
-  watermark_ = config_.watermark_bytes != 0
-                   ? config_.watermark_bytes
-                   : std::max<std::size_t>(
-                         32u << 10,
-                         config_.memory_budget_bytes / config_.num_shards);
-  shards_.resize(config_.num_shards);
+  watermark_ = config_.memory_budget_bytes / kShards;
+  shards_.resize(kShards);
   for (Shard& shard : shards_) {
     shard.keys = RecordArena(config_.format);
     shard.spill = RecordArena(config_.format);
@@ -210,11 +204,9 @@ void HashCombineShards::combine_into(Shard& shard, Entry& entry,
   }
 }
 
-void HashCombineShards::hash_insert(Shard& shard, std::uint32_t shard_index,
-                                    std::uint32_t partition,
+void HashCombineShards::hash_insert(Shard& shard, std::uint32_t partition,
                                     std::string_view key,
                                     std::string_view value) {
-  (void)shard_index;
   if (shard.entries.size() + 1 > shard.slots.size() * 7 / 10) {
     grow_slots(shard);
   }
@@ -236,8 +228,7 @@ void HashCombineShards::hash_insert(Shard& shard, std::uint32_t shard_index,
     if (entry.hash == slot_hash && entry.key_ref.partition == partition &&
         entry.key_ref.key_size == key.size() &&
         entry.key_ref.key_prefix == prefix && entry.key_ref.key() == key) {
-      ++shard.hits;
-      ++stats_.hits;
+      ++metrics_.hash_combine_hits;
       if (combiner_ != nullptr) {
         combine_into(shard, entry, value);
       } else {
@@ -270,29 +261,26 @@ void HashCombineShards::demoted_insert(Shard& shard, std::uint32_t partition,
                                        std::string_view value) {
   shard.spill.append(partition, key, value);
   if (shard.spill.payload_bytes() >= watermark_) {
-    flush_demoted(shard, static_cast<std::uint32_t>(&shard - shards_.data()),
-                  /*final=*/false);
+    flush_demoted(shard, /*final=*/false);
   }
 }
 
 void HashCombineShards::insert(std::uint32_t partition, std::string_view key,
                                std::string_view value) {
-  ++stats_.records;
   const std::uint64_t h = hash_key(key);
   // Shard from the high bits, slot index (inside hash_insert) from a
   // remix of the low: using the same bits for both would leave every
   // shard's table clustered in 1/P of its slots.
   const std::uint32_t shard_index =
-      static_cast<std::uint32_t>((h >> 32) % config_.num_shards);
+      static_cast<std::uint32_t>((h >> 32) % kShards);
   Shard& shard = shards_[shard_index];
-  ++shard.records;
   if (shard.demoted) {
     demoted_insert(shard, partition, key, value);
     return;
   }
-  hash_insert(shard, shard_index, partition, key, value);
+  hash_insert(shard, partition, key, value);
   if (resident_bytes(shard) > watermark_) {
-    flush_shard(shard, shard_index);
+    flush_shard(shard_index);
   }
 }
 
@@ -367,9 +355,26 @@ void HashCombineShards::radix_sort(std::vector<FlushItem>& items) {
   }
 }
 
-void HashCombineShards::write_sorted(const std::vector<FlushItem>& items,
-                                     io::SpillRunWriter& writer) {
-  for (const FlushItem& item : items) {
+void HashCombineShards::collect_items(std::uint32_t shard_index) {
+  const Shard& shard = shards_[shard_index];
+  for (std::size_t e = 0; e < shard.entries.size(); ++e) {
+    const Entry& entry = shard.entries[e];
+    if (entry.value_head == kNil) continue;
+    flush_items_.push_back(FlushItem{entry.key_ref.key_prefix,
+                                     entry.key_ref.partition,
+                                     static_cast<std::uint32_t>(e),
+                                     shard_index});
+  }
+}
+
+void HashCombineShards::write_run(obs::SpanTimer& span) {
+  const std::uint64_t t0 = monotonic_ns();
+  radix_sort(flush_items_);
+  const std::uint64_t sorted_ns = monotonic_ns();
+
+  io::SpillRunWriter writer(next_run_path_(run_sequence_++),
+                            config_.num_partitions, config_.format);
+  for (const FlushItem& item : flush_items_) {
     const Shard& shard = shards_[item.shard];
     const Entry& entry = shard.entries[item.entry];
     std::uint32_t cursor = entry.value_head;
@@ -379,40 +384,28 @@ void HashCombineShards::write_sorted(const std::vector<FlushItem>& items,
       cursor = load_u32(shard.values, cursor);
     }
   }
+  io::SpillRunInfo info = writer.finish();
+  span.arg("records", static_cast<double>(info.records));
+
+  metrics_.op_ns(Op::kSort) += sorted_ns - t0;
+  metrics_.op_ns(Op::kSpillWrite) += monotonic_ns() - sorted_ns;
+  metrics_.spilled_records += info.records;
+  metrics_.spilled_bytes += info.bytes;
+  metrics_.spill_count += 1;
+  runs_.push_back(std::move(info));
 }
 
-void HashCombineShards::flush_shard(Shard& shard, std::uint32_t shard_index) {
+void HashCombineShards::flush_shard(std::uint32_t shard_index) {
   const std::uint64_t t0 = monotonic_ns();
+  Shard& shard = shards_[shard_index];
   obs::SpanTimer span(trace_, "spill", "hash_flush");
   span.arg("shard", static_cast<double>(shard_index));
   span.arg("entries", static_cast<double>(shard.entries.size()));
 
   flush_items_.clear();
-  for (std::size_t e = 0; e < shard.entries.size(); ++e) {
-    const Entry& entry = shard.entries[e];
-    if (entry.value_head == kNil) continue;
-    flush_items_.push_back(FlushItem{entry.key_ref.key_prefix,
-                                     entry.key_ref.partition,
-                                     static_cast<std::uint32_t>(e),
-                                     shard_index});
-  }
-  radix_sort(flush_items_);
-  const std::uint64_t sorted_ns = monotonic_ns();
-
-  io::SpillRunWriter writer(next_run_path_(run_sequence_++),
-                            config_.num_partitions, config_.format);
-  write_sorted(flush_items_, writer);
-  io::SpillRunInfo info = writer.finish();
-  const std::uint64_t done_ns = monotonic_ns();
-  span.arg("records", static_cast<double>(info.records));
-
-  metrics_.op_ns(Op::kSort) += sorted_ns - t0;
-  metrics_.op_ns(Op::kSpillWrite) += done_ns - sorted_ns;
-  metrics_.spilled_records += info.records;
-  metrics_.spilled_bytes += info.bytes;
-  metrics_.spill_count += 1;
-  runs_.push_back(std::move(info));
-  ++stats_.flushes;
+  collect_items(shard_index);
+  write_run(span);
+  ++metrics_.hash_combine_flushes;
   ++shard.flush_count;
 
   // Reset the shard but keep every allocation (arena chunks, entry and
@@ -422,12 +415,12 @@ void HashCombineShards::flush_shard(Shard& shard, std::uint32_t shard_index) {
   shard.values.clear();
   std::fill(shard.slots.begin(), shard.slots.end(), 0);
 
-  if (shard.flush_count >= config_.demote_after_flushes) {
+  if (shard.flush_count >= kDemoteAfterFlushes) {
     // Persistent pressure: this keyspace does not fit the watermark, so
     // hashing only adds probe cost on top of the same spill volume. Fall
     // back to the proven sort-spill path for the rest of the task.
     shard.demoted = true;
-    ++stats_.demotions;
+    ++metrics_.hash_combine_demotions;
     obs::record_instant(trace_, "spill", "hash_demote", "shard",
                         static_cast<double>(shard_index), "flushes",
                         static_cast<double>(shard.flush_count));
@@ -435,8 +428,7 @@ void HashCombineShards::flush_shard(Shard& shard, std::uint32_t shard_index) {
   flush_ns_ += monotonic_ns() - t0;
 }
 
-void HashCombineShards::flush_demoted(Shard& shard, std::uint32_t shard_index,
-                                      bool final) {
+void HashCombineShards::flush_demoted(Shard& shard, bool final) {
   if (shard.spill.size() == 0) return;
   const std::uint64_t t0 = monotonic_ns();
   // The demoted path *is* the existing sort path: build a Spill over the
@@ -454,7 +446,6 @@ void HashCombineShards::flush_demoted(Shard& shard, std::uint32_t shard_index,
                      config_.num_partitions, config_.format, metrics_, trace_);
   runs_.push_back(std::move(info));
   shard.spill.clear();
-  (void)shard_index;
   flush_ns_ += monotonic_ns() - t0;
 }
 
@@ -462,52 +453,21 @@ std::vector<io::SpillRunInfo> HashCombineShards::finish() {
   TEXTMR_CHECK(!finished_, "hash-combine table finished twice");
   finished_ = true;
 
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (shards_[s].demoted) {
-      flush_demoted(shards_[s], static_cast<std::uint32_t>(s),
-                    /*final=*/true);
-    }
+  for (Shard& shard : shards_) {
+    if (shard.demoted) flush_demoted(shard, /*final=*/true);
   }
 
   // Residue fast path: all live shards' entries globally sorted into ONE
   // run. In the common no-pressure case this is the task's only run, so
   // the final merge degenerates to a rename.
   flush_items_.clear();
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& shard = shards_[s];
-    for (std::size_t e = 0; e < shard.entries.size(); ++e) {
-      const Entry& entry = shard.entries[e];
-      if (entry.value_head == kNil) continue;
-      flush_items_.push_back(FlushItem{entry.key_ref.key_prefix,
-                                       entry.key_ref.partition,
-                                       static_cast<std::uint32_t>(e),
-                                       static_cast<std::uint32_t>(s)});
-    }
-  }
+  for (std::uint32_t s = 0; s < kShards; ++s) collect_items(s);
   if (!flush_items_.empty()) {
-    const std::uint64_t t0 = monotonic_ns();
     obs::SpanTimer span(trace_, "spill", "hash_flush");
     span.arg("entries", static_cast<double>(flush_items_.size()));
     span.arg("final", 1.0);
-    radix_sort(flush_items_);
-    const std::uint64_t sorted_ns = monotonic_ns();
-    io::SpillRunWriter writer(next_run_path_(run_sequence_++),
-                              config_.num_partitions, config_.format);
-    write_sorted(flush_items_, writer);
-    io::SpillRunInfo info = writer.finish();
-    span.arg("records", static_cast<double>(info.records));
-    metrics_.op_ns(Op::kSort) += sorted_ns - t0;
-    metrics_.op_ns(Op::kSpillWrite) += monotonic_ns() - sorted_ns;
-    metrics_.spilled_records += info.records;
-    metrics_.spilled_bytes += info.bytes;
-    metrics_.spill_count += 1;
-    runs_.push_back(std::move(info));
-    flush_ns_ += monotonic_ns() - t0;
+    write_run(span);
   }
-
-  metrics_.hash_combine_hits += stats_.hits;
-  metrics_.hash_combine_flushes += stats_.flushes;
-  metrics_.hash_combine_demotions += stats_.demotions;
   return runs_;
 }
 

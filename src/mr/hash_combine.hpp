@@ -9,11 +9,12 @@
 // full-key fallback comparison on prefix ties — exactly record_ref_less
 // order, so the emitted runs are indistinguishable from sort-spill runs.
 //
-// Memory discipline: every shard has a byte watermark. Breaching it
-// flushes the shard to a sorted combined run and keeps hashing; a shard
-// that keeps breaching (demote_after_flushes) is *demoted* to the
-// existing sort-spill path (RecordArena + sort_and_spill), so behavior
-// under pressure is the proven baseline path, not a new one.
+// Memory discipline: every shard has a byte watermark (an equal share of
+// the budget). Breaching it flushes the shard to a sorted combined run
+// and keeps hashing; a shard that keeps breaching (kDemoteAfterFlushes)
+// is *demoted* to the existing sort-spill path (RecordArena +
+// sort_and_spill), so behavior under pressure is the proven baseline
+// path, not a new one.
 
 #include <cstdint>
 #include <functional>
@@ -30,24 +31,11 @@
 namespace textmr::mr {
 
 struct HashCombineConfig {
-  std::uint32_t num_shards = 8;
-  /// Per-shard resident-byte watermark; 0 derives it from
-  /// `memory_budget_bytes / num_shards` (floored at 32 KiB) — the hash
-  /// tables replace the spill ring, so they inherit its budget.
-  std::size_t watermark_bytes = 0;
-  /// A shard that breaches its watermark this many times is demoted to
-  /// the sort-spill path for the rest of the task.
-  std::uint32_t demote_after_flushes = 4;
+  /// The map task's memory budget (spill_buffer_bytes): the hash tables
+  /// replace the spill ring, so they inherit its budget.
   std::size_t memory_budget_bytes = 16u << 20;
   std::uint32_t num_partitions = 1;
   io::SpillFormat format = io::SpillFormat::kCompactVarint;
-};
-
-struct HashCombineStats {
-  std::uint64_t records = 0;    // inserts seen
-  std::uint64_t hits = 0;       // probe hits (combined or chained in place)
-  std::uint64_t flushes = 0;    // watermark flushes (hash shards)
-  std::uint64_t demotions = 0;  // shards demoted to the sort-spill path
 };
 
 /// The per-task shard set. Single-threaded: lives on the map thread and
@@ -56,9 +44,17 @@ struct HashCombineStats {
 /// surrounding emit interval (map_task.cpp does).
 class HashCombineShards {
  public:
+  /// Shards per task (routed on the key hash's high bits). One shard ran
+  /// InvertedIndex ~8% slower than eight at the same memory (DESIGN.md
+  /// §15).
+  static constexpr std::uint32_t kShards = 8;
+  /// Watermark breaches before a shard is demoted to the sort-spill path.
+  static constexpr std::uint64_t kDemoteAfterFlushes = 4;
+
   /// `combiner` may be null (values chain per key instead of combining).
   /// `next_run_path` names each flushed run; `metrics` receives
-  /// kSort/kCombine/kSpillWrite time and spill volume counters.
+  /// kSort/kCombine/kSpillWrite time, spill volume counters and the
+  /// hash_combine_{hits,flushes,demotions} counts.
   HashCombineShards(const HashCombineConfig& config, Reducer* combiner,
                     std::function<std::string(std::uint64_t sequence)>
                         next_run_path,
@@ -79,8 +75,8 @@ class HashCombineShards {
   /// into a single file (no merge needed downstream).
   std::vector<io::SpillRunInfo> finish();
 
-  const HashCombineStats& stats() const { return stats_; }
-  /// Total time spent inside flushes (sort + combine + write), so the
+  /// Time spent inside flushes so far (sort + combine + write). Read
+  /// before finish(), it is the share that ran inside insert(), so the
   /// caller can keep pure insert cost attributable to emit.
   std::uint64_t flush_ns() const { return flush_ns_; }
 
@@ -98,17 +94,14 @@ class HashCombineShards {
     RecordArena keys;            // framed keys, stable addresses
     std::vector<char> values;    // chained value blocks (offset-addressed)
     std::uint64_t flush_count = 0;
-    std::uint64_t records = 0;
-    std::uint64_t hits = 0;
     bool demoted = false;
     RecordArena spill;  // demoted mode: framed records for sort_and_spill
   };
 
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
-  void hash_insert(Shard& shard, std::uint32_t shard_index,
-                   std::uint32_t partition, std::string_view key,
-                   std::string_view value);
+  void hash_insert(Shard& shard, std::uint32_t partition,
+                   std::string_view key, std::string_view value);
   void demoted_insert(Shard& shard, std::uint32_t partition,
                       std::string_view key, std::string_view value);
   void combine_into(Shard& shard, Entry& entry, std::string_view value);
@@ -127,11 +120,15 @@ class HashCombineShards {
     std::uint32_t shard;
   };
   void radix_sort(std::vector<FlushItem>& items);
-  void write_sorted(const std::vector<FlushItem>& items,
-                    io::SpillRunWriter& writer);
+  /// Appends the shard's live entries (those still holding values) to
+  /// flush_items_.
+  void collect_items(std::uint32_t shard_index);
+  /// Sorts flush_items_ and writes them as one run — the single
+  /// sort-and-write path behind watermark flushes and finish()'s residue.
+  void write_run(obs::SpanTimer& span);
 
-  void flush_shard(Shard& shard, std::uint32_t shard_index);
-  void flush_demoted(Shard& shard, std::uint32_t shard_index, bool final);
+  void flush_shard(std::uint32_t shard_index);
+  void flush_demoted(Shard& shard, bool final);
 
   HashCombineConfig config_;
   std::size_t watermark_;
@@ -143,7 +140,6 @@ class HashCombineShards {
   std::vector<Shard> shards_;
   std::vector<io::SpillRunInfo> runs_;
   std::uint64_t run_sequence_ = 0;
-  HashCombineStats stats_;
   std::uint64_t flush_ns_ = 0;
   std::string combine_scratch_;  // staging for combiner output (reused)
   std::vector<FlushItem> flush_items_;      // reused across flushes

@@ -54,19 +54,13 @@ struct JobSpec {
   /// consume-bound apps overlap several spills.
   std::uint32_t support_threads = 1;
 
-  /// Map-side combine strategy (DESIGN.md §15). kHash replaces the
-  /// ring/sort/spill pipeline with per-task shard hash tables that
-  /// combine on insert and radix-sort at flush time; support_threads,
-  /// spill_threshold and use_spill_matcher are then inert (there is no
-  /// ring to seal). Output stays byte-identical to kSort.
+  /// Map-side combine strategy (DESIGN.md §15); it picks only the map
+  /// task's output stage. kHash swaps the spill ring for 8 shard hash
+  /// tables that combine on insert within spill_buffer_bytes (a shard
+  /// flushes at 1/8 of it and demotes to the sort-spill path after 4
+  /// flushes); support_threads, spill_threshold and use_spill_matcher
+  /// are then inert. Output stays byte-identical to kSort.
   CombineMode combine_mode = CombineMode::kSort;
-  std::uint32_t hash_combine_shards = 8;
-  /// Per-shard resident-byte watermark; 0 derives it from
-  /// spill_buffer_bytes / hash_combine_shards (the tables inherit the
-  /// ring's memory budget).
-  std::size_t hash_combine_watermark_bytes = 0;
-  /// Watermark breaches before a shard is demoted to the sort-spill path.
-  std::uint32_t hash_combine_demote_flushes = 4;
 
   /// Frequency-buffering configuration (paper §III).
   freqbuf::FreqBufConfig freqbuf;

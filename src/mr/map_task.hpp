@@ -41,18 +41,11 @@ struct MapTaskConfig {
   std::size_t spill_buffer_bytes = 16u << 20;
   io::SpillFormat spill_format = io::SpillFormat::kCompactVarint;
 
-  /// Map-side combine strategy (DESIGN.md §15). kSort runs the classic
-  /// ring/sort/spill pipeline below; kHash combines on insert into
-  /// per-task shard hash tables on the map thread itself (no support
-  /// threads, no ring) and radix-sorts at flush time. The two modes
-  /// produce byte-identical task output.
+  /// Map-side combine strategy (DESIGN.md §15); it picks only the output
+  /// stage. kSort feeds the spill ring and its support threads; kHash
+  /// combines on insert into shard hash tables on the map thread itself
+  /// (no ring) within spill_buffer_bytes. Output is byte-identical.
   CombineMode combine_mode = CombineMode::kSort;
-  std::uint32_t hash_combine_shards = 8;
-  /// Per-shard resident-byte watermark; 0 derives it from the memory
-  /// budget (spill_buffer_bytes, which the hash tables inherit).
-  std::size_t hash_combine_watermark_bytes = 0;
-  /// Watermark breaches before a shard is demoted to the sort-spill path.
-  std::uint32_t hash_combine_demote_flushes = 4;
   /// Number of support (sort/combine/spill) threads — the paper's
   /// "one or more support threads" (§IV-A). 1 reproduces Hadoop's
   /// 1-map/1-support pipeline that the spill-matcher analysis assumes.
@@ -102,9 +95,12 @@ struct MapTaskResult {
 /// (failed-attempt cleanup by prefix scan).
 std::string map_attempt_prefix(std::uint32_t task_id, std::uint32_t attempt);
 
-/// Runs one map task: map thread (caller's thread) + one support thread,
-/// exactly Hadoop's 1-map 1-support structure that the paper instruments
-/// (§II-C2) and optimizes (§III, §IV).
+/// Runs one map task. The map thread (the caller's) reads the split, runs
+/// map() and emits through frequency-buffering into the output stage that
+/// combine_mode picks: the spill ring drained by `support_threads` support
+/// threads (one by default: Hadoop's 1-map 1-support structure that the
+/// paper instruments, §II-C2, and optimizes, §III, §IV), or the
+/// hash-combine tables on the map thread.
 MapTaskResult run_map_task(const MapTaskConfig& config);
 
 }  // namespace textmr::mr

@@ -28,13 +28,6 @@ void validate_job(const JobSpec& spec) {
   if (spec.spill_threshold <= 0.0 || spec.spill_threshold >= 1.0) {
     throw ConfigError("spill_threshold must be in (0, 1)");
   }
-  if (spec.hash_combine_shards == 0 || spec.hash_combine_shards > 64) {
-    throw ConfigError("hash_combine_shards must be in [1, 64]");
-  }
-  if (spec.combine_mode == CombineMode::kHash &&
-      spec.hash_combine_demote_flushes == 0) {
-    throw ConfigError("hash_combine_demote_flushes must be >= 1");
-  }
   if (spec.freqbuf.enabled) {
     if (spec.freqbuf.table_budget_fraction <= 0.0 ||
         spec.freqbuf.table_budget_fraction >= 1.0) {
@@ -117,9 +110,6 @@ MapTaskConfig make_map_task_config(const JobSpec& spec, const MemorySplit& mem,
   config.spill_format = spec.spill_format;
   config.support_threads = spec.support_threads;
   config.combine_mode = spec.combine_mode;
-  config.hash_combine_shards = spec.hash_combine_shards;
-  config.hash_combine_watermark_bytes = spec.hash_combine_watermark_bytes;
-  config.hash_combine_demote_flushes = spec.hash_combine_demote_flushes;
   config.scratch_dir = spec.scratch_dir;
   if (spec.use_spill_matcher) {
     config.spill_policy = [] {

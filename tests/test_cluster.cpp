@@ -742,17 +742,21 @@ TEST(ClusterSoak, RandomWorkerKillsNeverCorruptOutput) {
       spec.skew.max_split_shares = 3;
     }
     // Even iterations soak the sharded hash-combine path (DESIGN.md §15)
-    // with a tiny watermark, so SIGKILLs also land mid hash-flush and
-    // mid-demotion; the restarted task must rebuild identical output.
-    if (iteration % 2 == 0) {
+    // under a tiny memory budget (a 512 B per-shard watermark), so
+    // SIGKILLs also land mid hash-flush and mid-demotion; the restarted
+    // task must rebuild identical output.
+    const bool hash = iteration % 2 == 0;
+    if (hash) {
       spec.combine_mode = mr::CombineMode::kHash;
-      spec.hash_combine_shards = 4;
-      spec.hash_combine_watermark_bytes = 4096;
-      spec.hash_combine_demote_flushes = 2;
+      spec.spill_buffer_bytes = 4u << 10;
     }
     const auto result = engine.run(spec);
     killer.join();
     corpus.check(result);
+    if (hash) {
+      EXPECT_GT(result.metrics.work.hash_combine_flushes, 0u);
+      EXPECT_GT(result.metrics.work.hash_combine_demotions, 0u);
+    }
     if (soak_seconds <= 0) break;  // default suite: single sanity iteration
   }
 }

@@ -233,6 +233,9 @@ TEST(ProtocolCodec, MapDoneRoundTripPreservesMetricsAndCounters) {
   result.output.partitions.push_back(extent);
   result.map_thread.op_ns(mr::Op::kMapUser) = 111;
   result.map_thread.input_records = 1000;
+  result.map_thread.hash_combine_hits = 77;
+  result.map_thread.hash_combine_flushes = 5;
+  result.map_thread.hash_combine_demotions = 2;
   result.support_thread.op_ns(mr::Op::kSort) = 222;
   result.support_thread.spilled_bytes = 9999;
   result.counters.increment("tokens", 1000);
@@ -255,6 +258,9 @@ TEST(ProtocolCodec, MapDoneRoundTripPreservesMetricsAndCounters) {
   EXPECT_EQ(out.output.records, 123u);
   EXPECT_EQ(out.map_thread.op_ns(mr::Op::kMapUser), 111u);
   EXPECT_EQ(out.map_thread.input_records, 1000u);
+  EXPECT_EQ(out.map_thread.hash_combine_hits, 77u);
+  EXPECT_EQ(out.map_thread.hash_combine_flushes, 5u);
+  EXPECT_EQ(out.map_thread.hash_combine_demotions, 2u);
   EXPECT_EQ(out.support_thread.op_ns(mr::Op::kSort), 222u);
   EXPECT_EQ(out.support_thread.spilled_bytes, 9999u);
   EXPECT_EQ(out.counters.value("tokens"), 1000u);

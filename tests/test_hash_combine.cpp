@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-// Unit battery for the map-side sharded hash-combine path (ISSUE 10):
+// Unit battery for the map-side sharded hash-combine path (DESIGN.md §15):
 // combine-equivalence against an exact oracle, adversarial prefix-
 // collision keys (equal 8-byte prefixes, short keys that prefix longer
 // ones, embedded NULs), watermark flushes and mid-stream demotion — all
@@ -100,7 +100,6 @@ TEST(HashCombine, CombineEquivalenceVsExactOracle) {
   // A zipf-ish word stream: the table must produce exactly the oracle's
   // per-key totals, in one globally sorted run (no watermark pressure).
   HashCombineConfig config;
-  config.num_shards = 4;
   config.num_partitions = 3;
   TableHarness h(config);
 
@@ -127,10 +126,10 @@ TEST(HashCombine, CombineEquivalenceVsExactOracle) {
     EXPECT_EQ(records[i].value, std::to_string(total));
     ++i;
   }
-  EXPECT_GT(h.table->stats().hits, 0u);
-  EXPECT_EQ(h.table->stats().records, 20000u);
-  EXPECT_EQ(h.table->stats().demotions, 0u);
-  EXPECT_EQ(h.metrics.hash_combine_hits, h.table->stats().hits);
+  // Every insert beyond the first per (partition, key) is a hit.
+  EXPECT_EQ(h.metrics.hash_combine_hits, 20000u - oracle.size());
+  EXPECT_EQ(h.metrics.hash_combine_flushes, 0u);
+  EXPECT_EQ(h.metrics.hash_combine_demotions, 0u);
   EXPECT_EQ(h.metrics.spilled_records, records.size());
 }
 
@@ -140,7 +139,6 @@ TEST(HashCombine, PrefixCollisionAdversarialKeys) {
   // are prefixes of longer ones, and empty keys. Equality must confirm on
   // the full key; the radix fallback must order the tails correctly.
   HashCombineConfig config;
-  config.num_shards = 2;
   config.num_partitions = 1;
   TableHarness h(config);
 
@@ -181,7 +179,6 @@ TEST(HashCombine, NoCombinerChainsAllValues) {
   // Without a combiner the table degrades to grouping: every value
   // survives, chained per key in insertion order.
   HashCombineConfig config;
-  config.num_shards = 2;
   config.num_partitions = 1;
   TableHarness h(config, /*with_combiner=*/false);
   for (int i = 0; i < 5; ++i) {
@@ -203,15 +200,13 @@ TEST(HashCombine, NoCombinerChainsAllValues) {
 }
 
 TEST(HashCombine, WatermarkFlushesAndDemotes) {
-  // A tiny watermark forces mid-stream flushes; demote_after_flushes=1
-  // demotes every pressured shard to the sort-spill path. The records
-  // must all survive across hash runs + demoted runs, with correct
-  // per-key totals after re-aggregation.
+  // A tiny budget (4 KiB per-shard watermark) forces mid-stream flushes,
+  // and a shard's fourth flush demotes it to the sort-spill path. The
+  // records must all survive across hash runs + demoted runs, with
+  // correct per-key totals after re-aggregation.
   HashCombineConfig config;
-  config.num_shards = 2;
   config.num_partitions = 2;
-  config.watermark_bytes = 4096;
-  config.demote_after_flushes = 1;
+  config.memory_budget_bytes = HashCombineShards::kShards * 4096;
   TableHarness h(config);
 
   std::map<std::pair<std::uint32_t, std::string>, std::uint64_t> oracle;
@@ -225,9 +220,10 @@ TEST(HashCombine, WatermarkFlushesAndDemotes) {
   }
   const auto runs = h.table->finish();
   ASSERT_GT(runs.size(), 1u) << "pressure must produce several runs";
-  EXPECT_GT(h.table->stats().flushes, 0u);
-  EXPECT_GT(h.table->stats().demotions, 0u);
-  EXPECT_EQ(h.metrics.hash_combine_demotions, h.table->stats().demotions);
+  EXPECT_GE(h.metrics.hash_combine_flushes,
+            h.metrics.hash_combine_demotions *
+                HashCombineShards::kDemoteAfterFlushes);
+  EXPECT_GT(h.metrics.hash_combine_demotions, 0u);
 
   std::map<std::pair<std::uint32_t, std::string>, std::uint64_t> totals;
   for (const auto& run : runs) {
@@ -251,12 +247,16 @@ TEST(HashCombine, FinishedTwiceThrows) {
 
 // ---- whole-map-task byte-identity ----------------------------------------
 
-/// Runs one map task over `input` in the given combine mode and returns
-/// the raw bytes of its output run file.
-std::string map_output_bytes(const std::filesystem::path& input,
-                             const std::filesystem::path& scratch,
-                             CombineMode mode, std::size_t watermark_bytes,
-                             std::uint32_t demote_flushes) {
+struct MapOutput {
+  std::string bytes;  // the raw output run file
+  TaskMetrics map_thread;
+};
+
+/// Runs one map task over `input` in the given combine mode and memory
+/// budget and returns its output run.
+MapOutput map_output(const std::filesystem::path& input,
+                     const std::filesystem::path& scratch, CombineMode mode,
+                     std::size_t spill_buffer_bytes) {
   MapTaskConfig config;
   config.task_id = 0;
   config.split = io::InputSplit{input.string(), 0,
@@ -279,16 +279,14 @@ std::string map_output_bytes(const std::filesystem::path& input,
         });
   };
   config.combiner = [] { return make_summing_combiner(); };
-  config.spill_buffer_bytes = 64u << 10;  // small: forces sort-path spills
+  config.spill_buffer_bytes = spill_buffer_bytes;
   config.scratch_dir = scratch;
   config.combine_mode = mode;
-  config.hash_combine_shards = 4;
-  config.hash_combine_watermark_bytes = watermark_bytes;
-  config.hash_combine_demote_flushes = demote_flushes;
   const MapTaskResult result = run_map_task(config);
   std::ifstream in(result.output.path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
+  return MapOutput{std::string(std::istreambuf_iterator<char>(in),
+                               std::istreambuf_iterator<char>()),
+                   result.map_thread};
 }
 
 TEST(HashCombine, MapTaskByteIdenticalAcrossModes) {
@@ -303,18 +301,23 @@ TEST(HashCombine, MapTaskByteIdenticalAcrossModes) {
       }
     }
   }
-  const std::string sorted = map_output_bytes(
-      input, dir.path() / "s", CombineMode::kSort, 0, 4);
-  const std::string hashed = map_output_bytes(
-      input, dir.path() / "h", CombineMode::kHash, 0, 4);
-  // Forced pressure: a 2 KiB watermark + demote-after-one-flush pushes
-  // every shard through flush AND demotion mid-stream.
-  const std::string demoted = map_output_bytes(
-      input, dir.path() / "d", CombineMode::kHash, 2048, 1);
-  ASSERT_FALSE(sorted.empty());
-  EXPECT_EQ(sorted, hashed) << "hash-combine output differs from sort path";
-  EXPECT_EQ(sorted, demoted)
+  // 64 KiB forces sort-path spills; 1 MiB keeps every hash shard under
+  // its watermark; 16 KiB (2 KiB per shard) pushes shards through
+  // flushes AND demotion mid-stream.
+  const MapOutput sorted =
+      map_output(input, dir.path() / "s", CombineMode::kSort, 64u << 10);
+  const MapOutput hashed =
+      map_output(input, dir.path() / "h", CombineMode::kHash, 1u << 20);
+  const MapOutput demoted =
+      map_output(input, dir.path() / "d", CombineMode::kHash, 16u << 10);
+  ASSERT_FALSE(sorted.bytes.empty());
+  EXPECT_EQ(sorted.bytes, hashed.bytes)
+      << "hash-combine output differs from sort path";
+  EXPECT_EQ(hashed.map_thread.hash_combine_flushes, 0u);
+  EXPECT_EQ(sorted.bytes, demoted.bytes)
       << "watermark/demotion path output differs from sort path";
+  EXPECT_GT(demoted.map_thread.hash_combine_flushes, 0u);
+  EXPECT_GT(demoted.map_thread.hash_combine_demotions, 0u);
 }
 
 }  // namespace

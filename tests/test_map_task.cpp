@@ -151,6 +151,44 @@ TEST(MapTask, FreqBufferingReducesSpilledRecords) {
   EXPECT_GT(freq.map_thread.freq_hits, 0u);
 }
 
+TEST(MapTask, OneLoopFeedsBothOutputStagesIdentically) {
+  // The combine mode picks only the output stage: the read/map/emit loop
+  // and frequency-buffering in front of it must see the same records in
+  // sort and hash mode, with FreqOpt off and on.
+  TempDir dir;
+  const auto split = write_corpus(dir, "in.txt", 3000);
+  for (const bool freq : {false, true}) {
+    SCOPED_TRACE(freq ? "freq on" : "freq off");
+    MapTaskResult results[2];
+    for (const CombineMode mode : {CombineMode::kSort, CombineMode::kHash}) {
+      auto config = base_config(dir, split);
+      config.combine_mode = mode;
+      config.scratch_dir = dir.file(
+          std::string(mode == CombineMode::kHash ? "hash" : "sort") +
+          (freq ? "-freq" : ""));
+      if (freq) {
+        config.freqbuf.enabled = true;
+        config.freqbuf.top_k = 8;
+        config.freqbuf.sampling_fraction = 0.05;
+        config.freqbuf.share_across_tasks = false;
+        config.freq_table_budget_bytes = 16 * 1024;
+      }
+      results[mode == CombineMode::kHash ? 1 : 0] = run_map_task(config);
+    }
+    const TaskMetrics& sorted = results[0].map_thread;
+    const TaskMetrics& hashed = results[1].map_thread;
+    EXPECT_EQ(sorted.input_records, 3000u);
+    EXPECT_EQ(hashed.input_records, sorted.input_records);
+    EXPECT_EQ(hashed.input_bytes, sorted.input_bytes);
+    EXPECT_EQ(hashed.map_output_records, sorted.map_output_records);
+    EXPECT_EQ(hashed.map_output_bytes, sorted.map_output_bytes);
+    EXPECT_EQ(hashed.freq_hits, sorted.freq_hits);
+    EXPECT_EQ(sorted.freq_hits > 0, freq);
+    EXPECT_EQ(read_output_counts(results[1].output, 2),
+              read_output_counts(results[0].output, 2));
+  }
+}
+
 TEST(MapTask, SpillMatcherKeepsAnswerIdentical) {
   TempDir dir;
   const auto split = write_corpus(dir, "in.txt", 3000);
@@ -200,6 +238,20 @@ TEST(MapTask, CombinerErrorInSupportThreadPropagates) {
         [](std::string_view, ValueStream&, EmitSink&) {
           throw std::runtime_error("user combine bug");
         });
+  };
+  EXPECT_THROW(run_map_task(config), std::runtime_error);
+}
+
+TEST(MapTask, CombinerFactoryErrorAfterSupportThreadStartedPropagates) {
+  // The third factory call (map thread, support 0, support 1) throws
+  // while support 0 already runs: it must be joined, not abandoned.
+  TempDir dir;
+  auto config = base_config(dir, write_corpus(dir, "in.txt", 10));
+  config.support_threads = 2;
+  auto calls = std::make_shared<int>(0);
+  config.combiner = [calls]() -> std::unique_ptr<Reducer> {
+    if (++*calls == 3) throw std::runtime_error("combiner factory bug");
+    return std::make_unique<apps::WordCountCombiner>();
   };
   EXPECT_THROW(run_map_task(config), std::runtime_error);
 }

@@ -232,9 +232,9 @@ struct DiffParams {
   std::string fail_spec;  // empty = no fault injection
   bool skew = false;      // skew-aware partitioner on the optimized run
   // Map-side combine axis (DESIGN.md §15): 0 = sort-spill baseline,
-  // 1 = sharded hash-combine, 2 = hash-combine with a tiny forced
-  // watermark + demote-after-one-flush (every shard flushes AND demotes
-  // mid-stream). All three must be byte-identical.
+  // 1 = sharded hash-combine, 2 = hash-combine under a tiny memory
+  // budget (shards flush AND demote mid-stream). All three must be
+  // byte-identical.
   int combine = 0;
 };
 
@@ -247,12 +247,28 @@ const char* combine_name(int combine) {
 void apply_combine_mode(mr::JobSpec& spec, int combine) {
   if (combine == 0) return;
   spec.combine_mode = mr::CombineMode::kHash;
-  spec.hash_combine_shards = 4;
-  if (combine == 2) {
-    spec.hash_combine_watermark_bytes = 2048;
-    spec.hash_combine_demote_flushes = 1;
-  }
+  // 16 KiB is a 2 KiB per-shard watermark: shards flush, and a shard's
+  // fourth flush demotes it to the sort-spill path mid-stream.
+  if (combine == 2) spec.spill_buffer_bytes = 16u << 10;
 }
+
+/// Hash-combine flushes and demotions summed over a job's tasks (or a
+/// pipeline's jobs).
+struct HashPressure {
+  std::uint64_t flushes = 0;
+  std::uint64_t demotions = 0;
+
+  void add(const mr::JobResult& result) {
+    flushes += result.metrics.work.hash_combine_flushes;
+    demotions += result.metrics.work.hash_combine_demotions;
+  }
+  /// The hash-forced cells must really take the pressured path.
+  void expect_forced(int combine) const {
+    if (combine != 2) return;
+    EXPECT_GT(flushes, 0u) << "hash-forced cell never flushed";
+    EXPECT_GT(demotions, 0u) << "hash-forced cell never demoted";
+  }
+};
 
 void PrintTo(const DiffParams& p, std::ostream* os) {
   *os << p.app << " seed=" << p.seed << " alpha=" << p.alpha
@@ -379,6 +395,7 @@ TEST_P(DifferentialOracleTest, OptimizedFaultedRunMatchesCleanBaseline) {
   // accumulates retry counts across the chained jobs — a pipeline's
   // injected fault may land in either stage.
   std::uint64_t tasks_retried = 0;
+  HashPressure pressure;
   const auto run_app = [&](const std::string& tag, bool optimized) {
     if (!pipeline) {
       auto spec = test::make_job(app, splits, dir.file(tag + "s"),
@@ -387,6 +404,7 @@ TEST_P(DifferentialOracleTest, OptimizedFaultedRunMatchesCleanBaseline) {
       spec.retry_backoff_base_ms = 0;
       auto result = engine.run(spec);
       tasks_retried += result.metrics.tasks_retried;
+      pressure.add(result);
       return result;
     }
     auto job1 = test::make_job(apps::tfidf_job1_app(), splits,
@@ -395,6 +413,7 @@ TEST_P(DifferentialOracleTest, OptimizedFaultedRunMatchesCleanBaseline) {
     job1.retry_backoff_base_ms = 0;
     const auto mid = engine.run(job1);
     tasks_retried += mid.metrics.tasks_retried;
+    pressure.add(mid);
     std::vector<io::InputSplit> mid_splits;
     for (const auto& part : mid.outputs) {
       const auto extra = io::make_splits(part.string(), 48 * 1024);
@@ -406,6 +425,7 @@ TEST_P(DifferentialOracleTest, OptimizedFaultedRunMatchesCleanBaseline) {
     job2.retry_backoff_base_ms = 0;
     auto result = engine.run(job2);
     tasks_retried += result.metrics.tasks_retried;
+    pressure.add(result);
     return result;
   };
 
@@ -413,11 +433,13 @@ TEST_P(DifferentialOracleTest, OptimizedFaultedRunMatchesCleanBaseline) {
   const auto oracle = run_app("o", /*optimized=*/false);
 
   tasks_retried = 0;
+  pressure = HashPressure{};
   failpoint::ScopedFailpoints failpoints(p.fail_spec);
   const auto result = run_app("c", /*optimized=*/true);
   if (!p.fail_spec.empty()) {
     EXPECT_GE(tasks_retried, 1u);
   }
+  pressure.expect_forced(p.combine);
 
   if (p.app == "AccessLogJoin") {
     // Join rows repeat per key and their order within a reduce group
@@ -570,17 +592,21 @@ TEST_P(ClusterDifferentialTest, ClusterRunReproducesLocalEngineBytes) {
     apply_combine_mode(spec, p.combine);
     spec.retry_backoff_base_ms = 0;
   };
+  HashPressure pressure;
   const auto run_app = [&](auto& engine, const std::string& tag) {
     if (!pipeline) {
       auto spec = test::make_job(app, splits, dir.file("s-" + tag),
                                  dir.file("o-" + tag));
       configure(spec);
-      return engine.run(spec);
+      auto result = engine.run(spec);
+      pressure.add(result);
+      return result;
     }
     auto job1 = test::make_job(apps::tfidf_job1_app(), splits,
                                dir.file("s1-" + tag), dir.file("o1-" + tag));
     configure(job1);
     const auto mid = engine.run(job1);
+    pressure.add(mid);
     std::vector<io::InputSplit> mid_splits;
     for (const auto& part : mid.outputs) {
       const auto extra = io::make_splits(part.string(), 48 * 1024);
@@ -589,7 +615,9 @@ TEST_P(ClusterDifferentialTest, ClusterRunReproducesLocalEngineBytes) {
     auto job2 = test::make_job(apps::tfidf_job2_app(), mid_splits,
                                dir.file("s2-" + tag), dir.file("o2-" + tag));
     configure(job2);
-    return engine.run(job2);
+    auto result = engine.run(job2);
+    pressure.add(result);
+    return result;
   };
 
   mr::LocalEngine local;
@@ -603,7 +631,9 @@ TEST_P(ClusterDifferentialTest, ClusterRunReproducesLocalEngineBytes) {
     config.io_timeout_ms = 10000;
   }
   cluster::ClusterEngine cluster_engine(config);
+  pressure = HashPressure{};
   const auto result = run_app(cluster_engine, "cluster");
+  pressure.expect_forced(p.combine);
   if (p.transport == cluster::TransportKind::kTcp) {
     // The TCP cells genuinely shuffle over the network — without this,
     // a silently-disabled shuffle service would pass the byte check.
