@@ -104,7 +104,11 @@ class InvertedIndexReducer final : public mr::Reducer {
     while (auto value = values.next()) {
       postings::decode_into(*value, merged_);
     }
-    std::sort(merged_.begin(), merged_.end());
+    // Runs are merged in map-task order, so the lists usually arrive
+    // sorted already (as in the combiner above).
+    if (!std::is_sorted(merged_.begin(), merged_.end())) {
+      std::sort(merged_.begin(), merged_.end());
+    }
     text_.clear();
     text_ += std::to_string(merged_.size());
     text_.push_back(':');

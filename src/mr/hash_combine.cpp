@@ -36,6 +36,20 @@ inline void store_u32(std::vector<char>& heap, std::size_t offset,
   std::memcpy(heap.data() + offset, &v, sizeof(v));
 }
 
+inline void store_bytes(std::vector<char>& heap, std::size_t offset,
+                        std::string_view bytes) {
+  TEXTMR_CHECK(offset + bytes.size() <= heap.size(),
+               "value-heap write out of bounds");
+  std::memcpy(heap.data() + offset, bytes.data(), bytes.size());
+}
+
+/// Appends heap[offset, offset + size) to `out`.
+inline void append_bytes(std::vector<char>& out, const std::vector<char>& heap,
+                         std::size_t offset, std::size_t size) {
+  TEXTMR_CHECK(offset + size <= heap.size(), "value-heap read out of bounds");
+  out.insert(out.end(), heap.data() + offset, heap.data() + offset + size);
+}
+
 inline std::string_view block_value(const std::vector<char>& heap,
                                     std::uint32_t offset) {
   const std::uint32_t size = load_u32(heap, offset + 4);
@@ -43,6 +57,72 @@ inline std::string_view block_value(const std::vector<char>& heap,
                "value-heap block overruns the heap");
   return {heap.data() + offset + kBlockHeader, size};
 }
+
+// Staged values, and the combiner's input and output, are
+// [u32 len][len bytes] frames. In a head block's staged region the
+// length's top bit marks a value the combiner produced (a compacted
+// batch); the frames after the last marked one are raw hits.
+constexpr std::size_t kFrameHeader = 4;
+constexpr std::uint32_t kCombinedBit = 0x80000000u;
+
+inline std::uint32_t frame_size(std::string_view value) {
+  TEXTMR_CHECK(value.size() < kCombinedBit, "hash-combine value too large");
+  return static_cast<std::uint32_t>(kFrameHeader + value.size());
+}
+
+inline void append_frame(std::vector<char>& frames, std::string_view value) {
+  const std::size_t offset = frames.size();
+  frames.resize(offset + frame_size(value));
+  store_u32(frames, offset, static_cast<std::uint32_t>(value.size()));
+  store_bytes(frames, offset + kFrameHeader, value);
+}
+
+/// The value of the frame at `offset`, which must end by `end`.
+inline std::string_view frame_value(const std::vector<char>& frames,
+                                    std::size_t offset, std::size_t end) {
+  const std::uint32_t size = load_u32(frames, offset) & ~kCombinedBit;
+  TEXTMR_CHECK(offset + kFrameHeader + size <= end && end <= frames.size(),
+               "hash-combine frame overruns its region");
+  return {frames.data() + offset + kFrameHeader, size};
+}
+
+/// ValueStream over a snapshot of frames. The views it hands out stay
+/// valid for the whole reduce() call: the snapshot is not written until
+/// the combiner returns.
+class FrameValueStream final : public ValueStream {
+ public:
+  explicit FrameValueStream(const std::vector<char>& frames)
+      : frames_(frames) {}
+
+  std::optional<std::string_view> next() override {
+    if (cursor_ == frames_.size()) return std::nullopt;
+    const std::string_view value =
+        frame_value(frames_, cursor_, frames_.size());
+    cursor_ += kFrameHeader + value.size();
+    return value;
+  }
+
+ private:
+  const std::vector<char>& frames_;
+  std::size_t cursor_ = 0;
+};
+
+/// Sink appending combiner output to a frame buffer.
+class FrameSink final : public EmitSink {
+ public:
+  FrameSink(std::vector<char>& frames, std::string_view expected_key)
+      : frames_(frames), expected_key_(expected_key) {}
+
+  void emit(std::string_view key, std::string_view value) override {
+    TEXTMR_CHECK(key == expected_key_,
+                 "combiner must be key-preserving (hash-combine path)");
+    append_frame(frames_, value);
+  }
+
+ private:
+  std::vector<char>& frames_;
+  std::string_view expected_key_;
+};
 
 }  // namespace
 
@@ -93,115 +173,150 @@ void HashCombineShards::grow_slots(Shard& shard) {
   const std::size_t size =
       shard.slots.empty() ? 64 : shard.slots.size() * 2;
   shard.slots.assign(size, 0);
-  const std::uint64_t mask = size - 1;
+  const std::uint32_t mask = static_cast<std::uint32_t>(size - 1);
   for (std::size_t e = 0; e < shard.entries.size(); ++e) {
-    std::uint64_t j = shard.entries[e].hash & mask;
+    std::uint32_t j = shard.entries[e].hash & mask;
     while (shard.slots[j] != 0) j = (j + 1) & mask;
     shard.slots[j] = static_cast<std::uint32_t>(e + 1);
   }
 }
 
-namespace {
-
-/// ValueStream over an entry's chain followed by the incoming value.
-/// Chain values are copied into a reused scratch before being handed out:
-/// a combiner may emit() between next() calls, and the emit path can grow
-/// or overwrite the very heap these blocks live in — an offset survives
-/// that, a view into the heap does not.
-class ChainValueStream final : public ValueStream {
- public:
-  ChainValueStream(const std::vector<char>& heap, std::uint32_t head,
-                   std::string_view incoming, std::uint32_t nil)
-      : heap_(heap), cursor_(head), incoming_(incoming), nil_(nil) {}
-
-  std::optional<std::string_view> next() override {
-    if (cursor_ != nil_) {
-      scratch_.assign(block_value(heap_, cursor_));
-      cursor_ = load_u32(heap_, cursor_);
-      return std::string_view(scratch_);
-    }
-    if (!incoming_consumed_) {
-      incoming_consumed_ = true;
-      return incoming_;
-    }
-    return std::nullopt;
+void HashCombineShards::gather_chain(const Shard& shard, const Entry& entry,
+                                     std::uint32_t staged_end) {
+  std::uint32_t cursor = entry.value_head;
+  if (cursor == kNil) return;
+  const std::string_view head = block_value(shard.values, cursor);
+  append_frame(combine_in_, head);
+  // The staged region already is a run of frames; copy it as it is.
+  TEXTMR_CHECK(head.size() + staged_end <= load_u32(shard.values, cursor + 8),
+               "staged region overruns its block");
+  append_bytes(combine_in_, shard.values, cursor + kBlockHeader + head.size(),
+               staged_end);
+  for (cursor = load_u32(shard.values, cursor); cursor != kNil;
+       cursor = load_u32(shard.values, cursor)) {
+    append_frame(combine_in_, block_value(shard.values, cursor));
   }
+}
 
- private:
-  const std::vector<char>& heap_;
-  std::uint32_t cursor_;
-  std::string_view incoming_;
-  std::uint32_t nil_;
-  bool incoming_consumed_ = false;
-  std::string scratch_;
-};
+void HashCombineShards::run_combiner(std::string_view key) {
+  combine_out_.clear();
+  FrameValueStream values(combine_in_);
+  FrameSink sink(combine_out_, key);
+  combiner_->reduce(key, values, sink);
+}
 
-}  // namespace
-
-void HashCombineShards::combine_into(Shard& shard, Entry& entry,
-                                     std::string_view value) {
-  ChainValueStream values(shard.values, entry.value_head, value, kNil);
-
-  // Sink replacing the entry's chain with whatever the combiner emits.
-  // Every emitted value is staged through combine_scratch_ first: the
-  // combiner may hand us a view into the chain it just read, and both the
-  // in-place overwrite and a heap-growing block allocation would clobber
-  // or move those bytes mid-copy.
-  class ReplaceSink final : public EmitSink {
-   public:
-    ReplaceSink(HashCombineShards& table, Shard& shard, Entry& entry,
-                std::string_view expected_key)
-        : table_(table), shard_(shard), entry_(entry),
-          expected_key_(expected_key) {}
-
-    void emit(std::string_view key, std::string_view value) override {
-      TEXTMR_CHECK(key == expected_key_,
-                   "combiner must be key-preserving (hash-combine path)");
-      std::string& scratch = table_.combine_scratch_;
-      scratch.assign(value.data(), value.size());
-      if (first_) {
-        first_ = false;
-        const std::uint32_t head = entry_.value_head;
-        if (head != kNil &&
-            load_u32(shard_.values, head + 8) >= scratch.size()) {
-          // Overwrite in place; the old chain tail (if any) becomes heap
-          // garbage until the next flush reclaims the shard.
-          store_u32(shard_.values, head,
-                    kNil);
-          store_u32(shard_.values, head + 4,
-                    static_cast<std::uint32_t>(scratch.size()));
-          std::memcpy(shard_.values.data() + head + kBlockHeader,
-                      scratch.data(), scratch.size());
-          entry_.value_tail = head;
-        } else {
-          entry_.value_head = entry_.value_tail =
-              table_.alloc_block(shard_, scratch);
-        }
-      } else {
-        const std::uint32_t block = table_.alloc_block(shard_, scratch);
-        store_u32(shard_.values, entry_.value_tail, block);
-        entry_.value_tail = block;
+void HashCombineShards::place_combined(Shard& shard, Entry& entry,
+                                       bool keep_slack) {
+  std::uint32_t head = entry.value_head;
+  entry.value_head = entry.value_tail = kNil;
+  entry.staged = 0;
+  // A combiner may legitimately emit nothing for a key; the entry then
+  // holds no values and the flush skips it (exactly what the sort path
+  // does when a combined group produces no records).
+  for (std::size_t at = 0; at < combine_out_.size();) {
+    const std::string_view value =
+        frame_value(combine_out_, at, combine_out_.size());
+    at += kFrameHeader + value.size();
+    if (head != kNil) {
+      // The first value overwrites the old head in place if it fits; the
+      // old chain tail (if any) becomes heap garbage until the next flush
+      // reclaims the shard. On a hit it must also leave an eighth of its
+      // size free: the next full combine re-reads the head, so it has to
+      // wait for a batch that is a fixed fraction of the head's size.
+      const std::size_t cap = load_u32(shard.values, head + 8);
+      if (value.size() <= cap &&
+          (!keep_slack || cap - value.size() >= value.size() / 8)) {
+        store_u32(shard.values, head, kNil);
+        store_u32(shard.values, head + 4,
+                  static_cast<std::uint32_t>(value.size()));
+        store_bytes(shard.values, head + kBlockHeader, value);
+        entry.value_head = entry.value_tail = head;
+        head = kNil;
+        continue;
       }
+      head = kNil;
     }
-
-    bool emitted() const { return !first_; }
-
-   private:
-    HashCombineShards& table_;
-    Shard& shard_;
-    Entry& entry_;
-    std::string_view expected_key_;
-    bool first_ = true;
-  };
-
-  ReplaceSink sink(*this, shard, entry, entry.key_ref.key());
-  combiner_->reduce(entry.key_ref.key(), values, sink);
-  if (!sink.emitted()) {
-    // A combiner may legitimately emit nothing for a key; the entry then
-    // holds no values and the flush skips it (exactly what the sort path
-    // does when a combined group produces no records).
-    entry.value_head = entry.value_tail = kNil;
+    const std::uint32_t block = alloc_block(shard, value);
+    if (entry.value_tail == kNil) {
+      entry.value_head = entry.value_tail = block;
+    } else {
+      store_u32(shard.values, entry.value_tail, block);
+      entry.value_tail = block;
+    }
   }
+}
+
+void HashCombineShards::absorb(Shard& shard, Entry& entry,
+                               std::string_view value) {
+  const std::string_view key = entry.key_ref.key();
+  const std::uint32_t head = entry.value_head;
+  combine_in_.clear();
+  // Stage only behind a single-block chain: after a multi-value combine
+  // the staged values would sit between the chain's values, out of
+  // arrival order.
+  if (head != kNil && head == entry.value_tail) {
+    const std::size_t size = load_u32(shard.values, head + 4);
+    const std::size_t cap = load_u32(shard.values, head + 8);
+    TEXTMR_CHECK(size + entry.staged <= cap,
+                 "staged region overruns its block");
+    const std::size_t region = head + kBlockHeader + size;
+    if (size + entry.staged + frame_size(value) <= cap) {
+      // Stage: the hit costs one copy; the combiner runs later, in batch.
+      store_u32(shard.values, region + entry.staged,
+                static_cast<std::uint32_t>(value.size()));
+      store_bytes(shard.values, region + entry.staged + kFrameHeader, value);
+      entry.staged += frame_size(value);
+      return;
+    }
+    // The slack is full. Raw hits start after the last combined frame.
+    std::uint32_t raw = 0;
+    std::uint32_t at = 0;
+    while (at < entry.staged) {
+      const std::uint32_t len = load_u32(shard.values, region + at);
+      at += static_cast<std::uint32_t>(kFrameHeader) + (len & ~kCombinedBit);
+      if ((len & kCombinedBit) != 0) raw = at;
+    }
+    TEXTMR_CHECK(at == entry.staged, "staged region is not whole frames");
+    // A head no larger than the raw hits costs less to re-read than a
+    // compaction saves (counters stay a few bytes), so compact only behind
+    // a larger one.
+    if (raw < entry.staged && entry.staged - raw < size) {
+      // Compact the raw hits and the incoming value into combined frames
+      // in their place, without re-reading the head or earlier batches.
+      append_bytes(combine_in_, shard.values, region + raw,
+                   entry.staged - raw);
+      append_frame(combine_in_, value);
+      run_combiner(key);
+      if (!combine_out_.empty() && size + raw + combine_out_.size() <= cap) {
+        for (std::size_t out = 0; out < combine_out_.size();) {
+          const std::string_view combined =
+              frame_value(combine_out_, out, combine_out_.size());
+          store_u32(shard.values, region + raw + out,
+                    static_cast<std::uint32_t>(combined.size()) |
+                        kCombinedBit);
+          store_bytes(shard.values, region + raw + out + kFrameHeader,
+                      combined);
+          out += kFrameHeader + combined.size();
+        }
+        entry.staged = raw + static_cast<std::uint32_t>(combine_out_.size());
+        return;
+      }
+      // No room for the output, or nothing emitted (which the head must
+      // still be combined with): combine the head, the earlier batches
+      // and this output.
+      combine_in_.clear();
+      gather_chain(shard, entry, raw);
+      combine_in_.insert(combine_in_.end(), combine_out_.begin(),
+                         combine_out_.end());
+      run_combiner(key);
+      place_combined(shard, entry, /*keep_slack=*/true);
+      return;
+    }
+  }
+  gather_chain(shard, entry, entry.staged);
+  append_frame(combine_in_, value);
+  run_combiner(key);
+  place_combined(shard, entry, /*keep_slack=*/true);
 }
 
 void HashCombineShards::hash_insert(Shard& shard, std::uint32_t partition,
@@ -213,11 +328,11 @@ void HashCombineShards::hash_insert(Shard& shard, std::uint32_t partition,
   // The slot hash remixes the key hash with the partition: entries are
   // keyed by (partition, key) — the skew partitioner round-robins one
   // split key across partitions, and those streams must combine apart.
-  const std::uint64_t slot_hash =
-      mix64(hash_key(key) + partition * 0x9e3779b97f4a7c15ULL);
+  const std::uint32_t slot_hash = static_cast<std::uint32_t>(
+      mix64(hash_key(key) + partition * 0x9e3779b97f4a7c15ULL));
   const std::uint64_t prefix = key_prefix8(key);
-  const std::uint64_t mask = shard.slots.size() - 1;
-  std::uint64_t j = slot_hash & mask;
+  const std::uint32_t mask = static_cast<std::uint32_t>(shard.slots.size() - 1);
+  std::uint32_t j = slot_hash & mask;
   while (true) {
     const std::uint32_t idx = shard.slots[j];
     if (idx == 0) break;
@@ -230,7 +345,7 @@ void HashCombineShards::hash_insert(Shard& shard, std::uint32_t partition,
         entry.key_ref.key_prefix == prefix && entry.key_ref.key() == key) {
       ++metrics_.hash_combine_hits;
       if (combiner_ != nullptr) {
-        combine_into(shard, entry, value);
+        absorb(shard, entry, value);
       } else {
         const std::uint32_t block = alloc_block(shard, value);
         if (entry.value_tail == kNil) {
@@ -356,15 +471,25 @@ void HashCombineShards::radix_sort(std::vector<FlushItem>& items) {
 }
 
 void HashCombineShards::collect_items(std::uint32_t shard_index) {
-  const Shard& shard = shards_[shard_index];
+  Shard& shard = shards_[shard_index];
+  // One clock pair per shard, not per entry: the combine of staged values
+  // is the flush's share of kCombine, as in sort_and_spill.
+  const std::uint64_t t0 = combiner_ != nullptr ? monotonic_ns() : 0;
   for (std::size_t e = 0; e < shard.entries.size(); ++e) {
-    const Entry& entry = shard.entries[e];
+    Entry& entry = shard.entries[e];
+    if (entry.staged != 0) {
+      combine_in_.clear();
+      gather_chain(shard, entry, entry.staged);
+      run_combiner(entry.key_ref.key());
+      place_combined(shard, entry, /*keep_slack=*/false);
+    }
     if (entry.value_head == kNil) continue;
     flush_items_.push_back(FlushItem{entry.key_ref.key_prefix,
                                      entry.key_ref.partition,
                                      static_cast<std::uint32_t>(e),
                                      shard_index});
   }
+  if (combiner_ != nullptr) metrics_.op_ns(Op::kCombine) += monotonic_ns() - t0;
 }
 
 void HashCombineShards::write_run(obs::SpanTimer& span) {

@@ -3,11 +3,23 @@
 // Map-side sharded hash-combine (DESIGN.md §15): the Metis-style
 // generalization of frequency-buffering from "top-k keys" to the whole
 // keyspace. Each map task owns P shard hash tables; a record is routed to
-// a shard by key hash and combined *on insert* (open addressing, 8-byte
-// big-endian key-prefix confirm, then full key). Sorting is deferred to
-// flush time: a stable LSD radix pass over (partition, key prefix) with a
-// full-key fallback comparison on prefix ties — exactly record_ref_less
-// order, so the emitted runs are indistinguishable from sort-spill runs.
+// a shard by key hash (open addressing, 8-byte big-endian key-prefix
+// confirm, then full key). Sorting is deferred to flush time: a stable
+// LSD radix pass over (partition, key prefix) with a full-key fallback
+// comparison on prefix ties — exactly record_ref_less order, so the
+// emitted runs are indistinguishable from sort-spill runs.
+//
+// Staged, batched combine: a hit does not run the combiner. Its value is
+// staged as [u32 len][bytes] in the slack of the key's head block. When
+// the slack is full, the combiner compacts the raw staged values in
+// place; once the slack holds only compacted values, it runs over the
+// head, every staged value and the incoming value, and the head keeps
+// (or moves to a block with) slack of an eighth of its size. Each full
+// combine thus grows the head by a fixed fraction, so the combiner's
+// total input per key is amortized linear in the key's values, where
+// combining on every hit would be quadratic for values that grow
+// (posting lists). Flushes combine whatever is staged first, so every
+// run still holds one combined record per key.
 //
 // Memory discipline: every shard has a byte watermark (an equal share of
 // the budget). Breaching it flushes the shard to a sorted combined run
@@ -64,7 +76,7 @@ class HashCombineShards {
   HashCombineShards(const HashCombineShards&) = delete;
   HashCombineShards& operator=(const HashCombineShards&) = delete;
 
-  /// Routes one map-output record: combine-on-insert in its shard's
+  /// Routes one map-output record: staged or combined in its shard's
   /// table, or arena append when the shard is demoted. May flush.
   void insert(std::uint32_t partition, std::string_view key,
               std::string_view value);
@@ -83,10 +95,12 @@ class HashCombineShards {
  private:
   struct Entry {
     RecordRef key_ref;  // frame (empty value) in the shard's key arena
-    std::uint64_t hash = 0;
+    std::uint32_t hash = 0;    // low half of the slot hash
+    std::uint32_t staged = 0;  // bytes staged after the head block's value
     std::uint32_t value_head = kNil;
     std::uint32_t value_tail = kNil;
   };
+  static_assert(sizeof(Entry) == 48, "Entry is the per-key resident cost");
 
   struct Shard {
     std::vector<std::uint32_t> slots;  // entry index + 1; 0 = empty
@@ -104,7 +118,20 @@ class HashCombineShards {
                    std::string_view key, std::string_view value);
   void demoted_insert(Shard& shard, std::uint32_t partition,
                       std::string_view key, std::string_view value);
-  void combine_into(Shard& shard, Entry& entry, std::string_view value);
+  /// A hit with a combiner: stage `value` in the head block's slack, or
+  /// compact the staged tail, or combine the whole chain.
+  void absorb(Shard& shard, Entry& entry, std::string_view value);
+  /// Appends the entry's chain (head value, staged region up to
+  /// `staged_end`, further blocks) to combine_in_ as frames.
+  void gather_chain(const Shard& shard, const Entry& entry,
+                    std::uint32_t staged_end);
+  /// Runs the combiner over combine_in_; its output frames land in
+  /// combine_out_.
+  void run_combiner(std::string_view key);
+  /// Replaces the entry's chain and staged values with combine_out_.
+  /// `keep_slack` moves a head that would be left with too little slack
+  /// to stage into to a fresh block.
+  void place_combined(Shard& shard, Entry& entry, bool keep_slack);
 
   std::uint32_t alloc_block(Shard& shard, std::string_view value);
   std::size_t resident_bytes(const Shard& shard) const;
@@ -120,8 +147,8 @@ class HashCombineShards {
     std::uint32_t shard;
   };
   void radix_sort(std::vector<FlushItem>& items);
-  /// Appends the shard's live entries (those still holding values) to
-  /// flush_items_.
+  /// Combines every entry's staged values, then appends the shard's live
+  /// entries (those still holding values) to flush_items_.
   void collect_items(std::uint32_t shard_index);
   /// Sorts flush_items_ and writes them as one run — the single
   /// sort-and-write path behind watermark flushes and finish()'s residue.
@@ -141,7 +168,11 @@ class HashCombineShards {
   std::vector<io::SpillRunInfo> runs_;
   std::uint64_t run_sequence_ = 0;
   std::uint64_t flush_ns_ = 0;
-  std::string combine_scratch_;  // staging for combiner output (reused)
+  // Combiner input and output as [u32 len][bytes] frames (reused). Input
+  // is a snapshot: the output is placed into the heap only after the
+  // combiner returns, so nothing it reads is overwritten under it.
+  std::vector<char> combine_in_;
+  std::vector<char> combine_out_;
   std::vector<FlushItem> flush_items_;      // reused across flushes
   std::vector<FlushItem> flush_scratch_;    // radix ping-pong buffer
   std::vector<std::uint32_t> part_count_;   // partition counting-sort buckets

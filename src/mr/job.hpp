@@ -56,7 +56,7 @@ struct JobSpec {
 
   /// Map-side combine strategy (DESIGN.md §15); it picks only the map
   /// task's output stage. kHash swaps the spill ring for 8 shard hash
-  /// tables that combine on insert within spill_buffer_bytes (a shard
+  /// tables that combine in batches within spill_buffer_bytes (a shard
   /// flushes at 1/8 of it and demotes to the sort-spill path after 4
   /// flushes); support_threads, spill_threshold and use_spill_matcher
   /// are then inert. Output stays byte-identical to kSort.

@@ -428,8 +428,9 @@ MapTaskResult run_map_task(const MapTaskConfig& config) {
   std::vector<io::SpillRunInfo> runs;
   if (table) {
     // Watermark flushes ran inside insert(), i.e. inside the kEmit scope;
-    // their time self-accounted to kSort/kSpillWrite, so subtract it from
-    // kEmit (the finish() flush below runs outside any emit interval).
+    // their time self-accounted to kCombine/kSort/kSpillWrite, so subtract
+    // it from kEmit (the finish() flush below runs outside any emit
+    // interval).
     const std::uint64_t flush_in_emit = table->flush_ns();
     runs = table->finish();
     std::uint64_t& emit_ns = result.map_thread.op_ns(Op::kEmit);

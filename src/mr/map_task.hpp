@@ -43,8 +43,9 @@ struct MapTaskConfig {
 
   /// Map-side combine strategy (DESIGN.md §15); it picks only the output
   /// stage. kSort feeds the spill ring and its support threads; kHash
-  /// combines on insert into shard hash tables on the map thread itself
-  /// (no ring) within spill_buffer_bytes. Output is byte-identical.
+  /// combines in batches inside shard hash tables on the map thread
+  /// itself (no ring) within spill_buffer_bytes. Output is
+  /// byte-identical.
   CombineMode combine_mode = CombineMode::kSort;
   /// Number of support (sort/combine/spill) threads — the paper's
   /// "one or more support threads" (§IV-A). 1 reproduces Hadoop's

@@ -11,7 +11,7 @@ namespace textmr::mr {
 
 /// Map-side combine strategy (DESIGN.md §15). kSort is the classic
 /// Hadoop shape: frame into the spill ring, sort, combine per key group,
-/// spill. kHash combines on insert into per-task shard hash tables and
+/// spill. kHash combines in batches inside per-task shard hash tables and
 /// defers sorting to flush time (a radix pass on the 8-byte key prefix);
 /// a memory watermark demotes a pressured shard back to the sort path,
 /// so the two modes are byte-identical by construction and by the

@@ -580,6 +580,10 @@ TEST(ClusterTelemetry, PerWorkerMetricsAggregateIntoJobMetrics) {
   ClusterCorpus corpus(6000);
   cluster::ClusterConfig config;
   config.num_workers = 2;
+  // A speculative duplicate winning under host load gets the losing
+  // worker killed, which rightly marks telemetry incomplete; speculation
+  // is not what this test checks.
+  config.speculation = false;
   cluster::ClusterEngine engine(config);
   // Tracing stays OFF: worker metrics ride heartbeats and the final
   // (always-sent) trace chunk, independent of trace collection.
