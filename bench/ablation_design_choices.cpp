@@ -1,12 +1,14 @@
 // Ablation harness for the design choices DESIGN.md calls out (§5/§7):
 //
-//  A. spill-run serialization format — compact varint framing vs fixed32
-//     (the paper's §VII "more efficient on-disk data representations");
-//  B. reduce-side grouping — required sort vs hash grouping (the §VII
-//     "different post-map() grouping procedures");
 //  C. frequent-key table budget — sensitivity of FreqOpt to the fraction
 //     of the spill buffer devoted to the table (the paper fixes 30%);
-//  D. sampling fraction s — fixed paper values vs the §III-C auto-tuner.
+//  D. sampling fraction s — fixed paper values vs the §III-C auto-tuner;
+//  E. support threads per map task on a consume-bound app.
+//
+// Sections A (varint vs fixed32 spill framing) and B (sorted vs hash
+// reduce grouping) were removed together with the fixed32 and
+// hash-grouping paths; EXPERIMENTS.md "Ablations" keeps their last
+// measurement.
 
 #include <cstdio>
 
@@ -30,33 +32,7 @@ int main() {
   const auto app = apps::wordcount_app();
 
   {
-    std::printf("A. spill format: varint vs fixed32 framing\n");
-    for (const auto format :
-         {io::SpillFormat::kCompactVarint, io::SpillFormat::kFixed32}) {
-      TempDir dir("textmr-ablation");
-      auto spec = bench::make_bench_job(app, bench::kBaseline, dir.path());
-      spec.spill_format = format;
-      std::printf("   %-16s %s\n",
-                  format == io::SpillFormat::kCompactVarint ? "varint"
-                                                            : "fixed32",
-                  bench::secs(run_seconds(std::move(spec))).c_str());
-    }
-  }
-
-  {
-    std::printf("\nB. reduce grouping: sorted merge vs hash table\n");
-    for (const auto grouping : {mr::Grouping::kSorted, mr::Grouping::kHash}) {
-      TempDir dir("textmr-ablation");
-      auto spec = bench::make_bench_job(app, bench::kBaseline, dir.path());
-      spec.grouping = grouping;
-      std::printf("   %-16s %s\n",
-                  grouping == mr::Grouping::kSorted ? "sorted" : "hash",
-                  bench::secs(run_seconds(std::move(spec))).c_str());
-    }
-  }
-
-  {
-    std::printf("\nC. frequent-key table budget (fraction of spill buffer)\n");
+    std::printf("C. frequent-key table budget (fraction of spill buffer)\n");
     for (const double fraction : {0.1, 0.3, 0.5, 0.7}) {
       TempDir dir("textmr-ablation");
       auto spec = bench::make_bench_job(app, bench::kFreqOpt, dir.path());

@@ -125,8 +125,7 @@ void BM_SortAndSpill(benchmark::State& state) {
     mr::TaskMetrics metrics;
     const auto path = dir.file("run" + std::to_string(run_id++)).string();
     state.ResumeTiming();
-    auto info = sort_and_spill(spill, &combiner, path, 1,
-                               io::SpillFormat::kCompactVarint, metrics);
+    auto info = sort_and_spill(spill, &combiner, path, 1, metrics);
     benchmark::DoNotOptimize(info.records);
   }
   state.SetItemsProcessed(state.iterations() * keys.size());

@@ -18,13 +18,12 @@ namespace textmr::cluster {
 /// processes (DESIGN.md §10, §14). Transport: one stream channel per
 /// worker — an AF_UNIX socketpair or a TCP connection, behind the
 /// Transport/Connection interface in transport.hpp — carrying
-/// little-endian u32 length-prefixed frames; the first payload byte is
-/// the message type. TCP frames additionally carry a CRC32 of the
-/// payload (FrameFormat::kChecksummed). Input splits and final part
-/// files still move through the shared filesystem, but map-output
-/// partitions are pulled over the network from per-worker shuffle
-/// servers (kShuffleFetch/kShuffleData) when the TCP transport is in
-/// force, so control frames stay small: telemetry ships as bounded
+/// little-endian u32 length-prefixed frames that also hold a CRC32 of
+/// the payload; the first payload byte is the message type. Input splits
+/// and final part files still move through the shared filesystem, but
+/// map-output partitions are pulled over the network from per-worker
+/// shuffle servers (kShuffleFetch/kShuffleData) when the TCP transport
+/// is in force, so control frames stay small: telemetry ships as bounded
 /// trace chunks at task boundaries instead of one monolithic upload.
 
 enum class MsgType : std::uint8_t {
@@ -320,13 +319,11 @@ TraceChunkMsg decode_trace_chunk(WireReader& r);
 /// Oversized frames raise IoError instead.
 constexpr std::uint32_t kMaxFramePayload = 256u * 1024 * 1024;
 
-/// On-the-wire frame layout (DESIGN.md §14). kLegacy is the original
-/// socketpair format: [u32 len][payload]. kChecksummed — the TCP
-/// transport and the shuffle protocol — adds a CRC32 of the payload
-/// between the length and the bytes: [u32 len][u32 crc][payload]. A
-/// mismatch on receive raises IoError; the peer is treated as gone
-/// (control channel) or the fetch is retried (shuffle client).
-enum class FrameFormat : std::uint8_t { kLegacy, kChecksummed };
+/// On-the-wire frame layout (DESIGN.md §14), the same on every channel —
+/// socketpair, TCP control and shuffle: [u32 len][u32 crc32][payload],
+/// little-endian, the CRC over the payload. A mismatch on receive raises
+/// IoError; the peer is treated as gone (control channel) or the fetch is
+/// retried (shuffle client).
 
 /// CRC-32 (IEEE 802.3, poly 0xEDB88320) over `data`.
 std::uint32_t crc32(std::string_view data);
@@ -337,11 +334,7 @@ std::uint32_t crc32(std::string_view data);
 /// on missing the deadline when `timeout_ms` >= 0 (a dead TCP peer that
 /// stops draining its socket must surface as an error, not a coordinator
 /// thread blocked in poll forever). The `net.send` failpoint acts here.
-bool send_frame(int fd, std::string_view payload, FrameFormat format,
-                std::int32_t timeout_ms);
-inline bool send_frame(int fd, std::string_view payload) {
-  return send_frame(fd, payload, FrameFormat::kLegacy, -1);
-}
+bool send_frame(int fd, std::string_view payload, std::int32_t timeout_ms);
 
 /// Blocking receive of one full frame; nullopt on clean EOF. Throws
 /// IoError on errors, a torn frame, a checksum mismatch, or — with
@@ -349,26 +342,17 @@ inline bool send_frame(int fd, std::string_view payload) {
 /// Worker-side and shuffle-client only (the coordinator reads through
 /// FrameDecoder so one slow worker cannot stall it). The `net.recv`
 /// failpoint acts here.
-std::optional<std::string> recv_frame(int fd, FrameFormat format,
-                                      std::int32_t timeout_ms);
-inline std::optional<std::string> recv_frame(int fd) {
-  return recv_frame(fd, FrameFormat::kLegacy, -1);
-}
+std::optional<std::string> recv_frame(int fd, std::int32_t timeout_ms);
 
 /// Incremental frame reassembly over a non-blocking fd: feed() raw bytes
 /// as poll() reports them readable, next() yields completed frames
-/// (verifying checksums in kChecksummed format — a mismatch throws
-/// IoError).
+/// (verifying each checksum — a mismatch throws IoError).
 class FrameDecoder {
  public:
-  FrameDecoder() = default;
-  explicit FrameDecoder(FrameFormat format) : format_(format) {}
-
   void feed(const char* data, std::size_t n) { buf_.append(data, n); }
   std::optional<std::string> next();
 
  private:
-  FrameFormat format_ = FrameFormat::kLegacy;
   std::string buf_;
 };
 

@@ -72,8 +72,7 @@ void ShuffleServer::serve(int fd) {
     }
   }
   try {
-    const auto frame =
-        recv_frame(fd, FrameFormat::kChecksummed, options_.io_timeout_ms);
+    const auto frame = recv_frame(fd, options_.io_timeout_ms);
     if (!frame.has_value()) return;  // client went away before asking
     WireReader r(*frame);
     const MsgType type = static_cast<MsgType>(r.u8());
@@ -82,34 +81,30 @@ void ShuffleServer::serve(int fd) {
       error.retryable = false;
       error.message = "unexpected message type " +
                       std::string(msg_type_name(type));
-      send_frame(fd, encode_shuffle_error(error), FrameFormat::kChecksummed,
-                 options_.io_timeout_ms);
+      send_frame(fd, encode_shuffle_error(error), options_.io_timeout_ms);
       return;
     }
     const ShuffleFetchMsg fetch = decode_shuffle_fetch(r);
     if (!path_allowed(fetch.run_path)) {
       error.retryable = false;
       error.message = "run path outside served root: " + fetch.run_path;
-      send_frame(fd, encode_shuffle_error(error), FrameFormat::kChecksummed,
-                 options_.io_timeout_ms);
+      send_frame(fd, encode_shuffle_error(error), options_.io_timeout_ms);
       return;
     }
-    io::SpillRunReader reader(fetch.run_path, options_.spill_format);
+    io::SpillRunReader reader(fetch.run_path);
     if (fetch.partition >= reader.num_partitions()) {
       error.retryable = false;
       error.message = "partition " + std::to_string(fetch.partition) +
                       " out of range (run has " +
                       std::to_string(reader.num_partitions()) + ")";
-      send_frame(fd, encode_shuffle_error(error), FrameFormat::kChecksummed,
-                 options_.io_timeout_ms);
+      send_frame(fd, encode_shuffle_error(error), options_.io_timeout_ms);
       return;
     }
     ShuffleDataMsg data;
     data.records = reader.extent(fetch.partition).records;
     data.bytes = reader.read_partition(fetch.partition);
     const std::uint64_t served = data.bytes.size();
-    if (send_frame(fd, encode_shuffle_data(data), FrameFormat::kChecksummed,
-                   options_.io_timeout_ms)) {
+    if (send_frame(fd, encode_shuffle_data(data), options_.io_timeout_ms)) {
       bytes_served_.fetch_add(served, std::memory_order_relaxed);
       requests_served_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -122,8 +117,7 @@ void ShuffleServer::serve(int fd) {
       ShuffleErrorMsg error;
       error.retryable = true;
       error.message = e.what();
-      send_frame(fd, encode_shuffle_error(error), FrameFormat::kChecksummed,
-                 options_.io_timeout_ms);
+      send_frame(fd, encode_shuffle_error(error), options_.io_timeout_ms);
     } catch (const std::exception&) {
     }
   }

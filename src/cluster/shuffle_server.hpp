@@ -31,6 +31,9 @@ class ShuffleServer {
   struct Options {
     Endpoint listen;               // port 0 = kernel-assigned
     std::string root;              // only run files under here are served
+    /// Not read: varint is the only spill framing. Kept only because the
+    /// whole-job benchmark (perfbench/ledger.cpp) still assigns it from
+    /// JobSpec::spill_format; remove both together.
     io::SpillFormat spill_format = io::SpillFormat::kCompactVarint;
     std::int32_t io_timeout_ms = 5000;  // per-request recv/send budget
   };

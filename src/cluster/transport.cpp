@@ -39,7 +39,6 @@ Connection& Connection::operator=(Connection&& other) noexcept {
   if (this != &other) {
     close();
     fd_ = std::exchange(other.fd_, -1);
-    format_ = other.format_;
     io_timeout_ms_ = other.io_timeout_ms_;
   }
   return *this;
@@ -95,7 +94,6 @@ class SocketpairTransport final : public Transport {
       : io_timeout_ms_(io_timeout_ms) {}
 
   TransportKind kind() const override { return TransportKind::kSocketpair; }
-  FrameFormat frame_format() const override { return FrameFormat::kLegacy; }
 
   WorkerChannel make_worker_channel() override {
     int sv[2];
@@ -104,8 +102,7 @@ class SocketpairTransport final : public Transport {
     }
     set_nonblocking(sv[0]);
     WorkerChannel channel;
-    channel.coordinator = Connection(sv[0], FrameFormat::kLegacy,
-                                     io_timeout_ms_);
+    channel.coordinator = Connection(sv[0], io_timeout_ms_);
     channel.child_fd = sv[1];
     return channel;
   }
@@ -300,8 +297,7 @@ Transport::WorkerChannel TcpTransport::make_worker_channel() {
   const int coord_fd = tcp_accept(listen_fd_, io_timeout_ms_);
   set_nonblocking(coord_fd);
   WorkerChannel channel;
-  channel.coordinator = Connection(coord_fd, FrameFormat::kChecksummed,
-                                   io_timeout_ms_);
+  channel.coordinator = Connection(coord_fd, io_timeout_ms_);
   channel.child_fd = child_fd;
   return channel;
 }
@@ -319,7 +315,7 @@ void TcpTransport::on_child_fork(int keep_fd) {
 Connection TcpTransport::accept_worker(std::int32_t timeout_ms) {
   const int fd = tcp_accept(listen_fd_, timeout_ms);
   set_nonblocking(fd);
-  return Connection(fd, FrameFormat::kChecksummed, io_timeout_ms_);
+  return Connection(fd, io_timeout_ms_);
 }
 
 std::unique_ptr<TcpTransport> make_tcp_transport(const Endpoint& listen,

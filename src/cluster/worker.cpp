@@ -27,11 +27,10 @@ namespace {
 /// One mutex serializes both the channel writes (frames from two threads
 /// must not interleave) and the current-task fields the beats report.
 struct Channel {
-  Channel(int fd, FrameFormat format, std::int32_t io_timeout_ms)
-      : fd(fd), format(format), io_timeout_ms(io_timeout_ms) {}
+  Channel(int fd, std::int32_t io_timeout_ms)
+      : fd(fd), io_timeout_ms(io_timeout_ms) {}
 
   const int fd;
-  const FrameFormat format;
   const std::int32_t io_timeout_ms;
   textmr::Mutex mu{textmr::LockRank::kCluster, "cluster.worker_channel"};
   textmr::CondVar wake;
@@ -56,7 +55,7 @@ struct Channel {
     if (broken) return false;
     bool ok = false;
     try {
-      ok = send_frame(fd, payload, format, io_timeout_ms);
+      ok = send_frame(fd, payload, io_timeout_ms);
     } catch (const IoError&) {
       // Timeout or injected net.send fault: the coordinator is as good
       // as gone from this worker's perspective.
@@ -153,7 +152,7 @@ void heartbeat_loop(Channel& channel, std::uint32_t worker_id,
 
 int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
   try {
-    Channel channel(ctx.fd, ctx.frame_format, ctx.io_timeout_ms);
+    Channel channel(ctx.fd, ctx.io_timeout_ms);
 
     // Network shuffle: serve this worker's committed map runs and tell
     // the coordinator where (kHello). Reducers on other workers pull
@@ -163,7 +162,6 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
       ShuffleServer::Options opts;
       opts.listen.host = ctx.shuffle_host;  // port 0: kernel-assigned
       opts.root = spec.scratch_dir.string();
-      opts.spill_format = spec.spill_format;
       if (ctx.io_timeout_ms > 0) opts.io_timeout_ms = ctx.io_timeout_ms;
       shuffle = std::make_unique<ShuffleServer>(std::move(opts));
       HelloMsg hello;
@@ -230,7 +228,7 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
     while (true) {
       std::optional<std::string> frame;
       try {
-        frame = recv_frame(ctx.fd, ctx.frame_format, idle_timeout_ms);
+        frame = recv_frame(ctx.fd, idle_timeout_ms);
       } catch (const IoError& e) {
         // Coordinator died mid-frame, stream corrupt, or (with an idle
         // timeout armed) a dead TCP peer went silent too long. Either
@@ -357,10 +355,9 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
             mr::ShuffleFetcher fetcher;
             if (!msg.sources.empty()) {
               std::vector<Endpoint> sources = std::move(msg.sources);
-              const io::SpillFormat format = spec.spill_format;
               ShuffleClient client;
               fetcher = [client = std::move(client),
-                         sources = std::move(sources), format](
+                         sources = std::move(sources)](
                             std::uint32_t run_index,
                             const io::SpillRunInfo& run,
                             std::uint32_t partition) {
@@ -378,8 +375,8 @@ int worker_main(const WorkerContext& ctx, const mr::JobSpec& spec) {
                       << " from " << sources[run_index].to_string()
                       << " exhausted retries; falling back to local read";
                 }
-                out.bytes = io::SpillRunReader(run.path, format)
-                                .read_partition(partition);
+                out.bytes =
+                    io::SpillRunReader(run.path).read_partition(partition);
                 return out;
               };
             }
@@ -448,8 +445,7 @@ int run_remote_worker(const Endpoint& coordinator, const mr::JobSpec& spec,
   const int fd = tcp_connect(coordinator, options.connect_timeout_ms);
   WorkerContext ctx;
   try {
-    const auto frame =
-        recv_frame(fd, FrameFormat::kChecksummed, options.connect_timeout_ms);
+    const auto frame = recv_frame(fd, options.connect_timeout_ms);
     if (!frame.has_value()) {
       throw IoError("coordinator closed before sending welcome");
     }
@@ -463,7 +459,6 @@ int run_remote_worker(const Endpoint& coordinator, const mr::JobSpec& spec,
     ctx.fd = fd;
     ctx.worker_id = welcome.worker_id;
     ctx.heartbeat_interval_ms = welcome.heartbeat_interval_ms;
-    ctx.frame_format = FrameFormat::kChecksummed;
     ctx.shuffle_enabled = true;
     ctx.shuffle_host = options.shuffle_host;
     ctx.io_timeout_ms = options.io_timeout_ms;

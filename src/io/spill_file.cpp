@@ -22,81 +22,62 @@ std::size_t varint_size(std::uint64_t v) {
   return n;
 }
 
-}  // namespace
-
-void encode_record(std::string& out, std::string_view key,
-                   std::string_view value, SpillFormat format) {
-  if (format == SpillFormat::kCompactVarint) {
-    textmr::put_varint(out, key.size());
-    textmr::put_varint(out, value.size());
-  } else {
-    textmr::put_fixed32(out, static_cast<std::uint32_t>(key.size()));
-    textmr::put_fixed32(out, static_cast<std::uint32_t>(value.size()));
+char* put_raw_varint(char* p, std::uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<char>(v | 0x80);
+    v >>= 7;
   }
-  out.append(key.data(), key.size());
-  out.append(value.data(), value.size());
+  *p++ = static_cast<char>(v);
+  return p;
 }
 
-std::size_t encoded_record_size(std::size_t key_size, std::size_t value_size,
-                                SpillFormat format) {
-  const std::size_t header = (format == SpillFormat::kCompactVarint)
-                                 ? varint_size(key_size) + varint_size(value_size)
-                                 : 8;
-  return header + key_size + value_size;
-}
-
-std::size_t encode_frame_header(char* dest, std::size_t key_size,
-                                std::size_t value_size, SpillFormat format) {
-  if (format == SpillFormat::kCompactVarint) {
-    char* p = dest;
-    std::uint64_t v = key_size;
-    while (v >= 0x80) {
-      *p++ = static_cast<char>(v | 0x80);
-      v >>= 7;
-    }
-    *p++ = static_cast<char>(v);
-    v = value_size;
-    while (v >= 0x80) {
-      *p++ = static_cast<char>(v | 0x80);
-      v >>= 7;
-    }
-    *p++ = static_cast<char>(v);
-    return static_cast<std::size_t>(p - dest);
-  }
-  const auto k = static_cast<std::uint32_t>(key_size);
-  const auto v = static_cast<std::uint32_t>(value_size);
-  for (int i = 0; i < 4; ++i) {
-    dest[i] = static_cast<char>((k >> (8 * i)) & 0xff);
-    dest[4 + i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-  return 8;
-}
-
-FrameHeader decode_frame_header(std::string_view data, SpillFormat format) {
-  FrameHeader header;
+// Decodes the [varint klen][varint vlen] header at the start of `data` and
+// checks that the whole record fits in the first `limit` bytes from there.
+// `limit` may exceed data.size() when the rest of the record is not yet
+// buffered (RunCursor); it is never less.
+FrameHeader decode_header(std::string_view data, std::uint64_t limit) {
   std::size_t pos = 0;
-  std::uint64_t klen;
-  std::uint64_t vlen;
-  if (format == SpillFormat::kCompactVarint) {
-    klen = textmr::get_varint(data, pos);
-    vlen = textmr::get_varint(data, pos);
-  } else {
-    klen = textmr::get_fixed32(data, pos);
-    vlen = textmr::get_fixed32(data, pos);
-  }
+  const std::uint64_t klen = textmr::get_varint(data, pos);
+  const std::uint64_t vlen = textmr::get_varint(data, pos);
   // Two comparisons, not klen + vlen (which a corrupt varint could wrap).
-  if (klen > data.size() - pos || vlen > data.size() - pos - klen) {
+  if (klen > limit - pos || vlen > limit - pos - klen) {
     throw FormatError("record frame exceeds available bytes");
   }
+  FrameHeader header;
   header.key_size = static_cast<std::uint32_t>(klen);
   header.value_size = static_cast<std::uint32_t>(vlen);
   header.header_size = static_cast<std::uint16_t>(pos);
   return header;
 }
 
-SpillRunWriter::SpillRunWriter(std::string path, std::uint32_t num_partitions,
-                               SpillFormat format)
-    : path_(std::move(path)), format_(format) {
+}  // namespace
+
+std::size_t encode_frame_header(char* dest, std::size_t key_size,
+                                std::size_t value_size) {
+  char* p = put_raw_varint(dest, key_size);
+  p = put_raw_varint(p, value_size);
+  return static_cast<std::size_t>(p - dest);
+}
+
+FrameHeader decode_frame_header(std::string_view data) {
+  return decode_header(data, data.size());
+}
+
+void encode_record(std::string& out, std::string_view key,
+                   std::string_view value) {
+  char header[kMaxFrameHeaderBytes];
+  out.append(header, encode_frame_header(header, key.size(), value.size()));
+  out.append(key.data(), key.size());
+  out.append(value.data(), value.size());
+}
+
+std::size_t encoded_record_size(std::size_t key_size, std::size_t value_size) {
+  return varint_size(key_size) + varint_size(value_size) + key_size +
+         value_size;
+}
+
+SpillRunWriter::SpillRunWriter(std::string path, std::uint32_t num_partitions)
+    : path_(std::move(path)) {
   TEXTMR_CHECK(num_partitions > 0, "run file needs >= 1 partition");
   file_ = std::fopen(path_.c_str(), "wb");
   if (file_ == nullptr) throw IoError("cannot create run file " + path_);
@@ -149,7 +130,7 @@ void SpillRunWriter::append(std::uint32_t partition, std::string_view key,
     partitions_[partition].offset = bytes_;
   }
   const std::size_t before = buffer_.size();
-  encode_record(buffer_, key, value, format_);
+  encode_record(buffer_, key, value);
   const std::uint64_t record_bytes = buffer_.size() - before;
   bytes_ += record_bytes;
   records_ += 1;
@@ -202,8 +183,7 @@ SpillRunInfo SpillRunWriter::finish() {
   return SpillRunInfo{path_, bytes_, records_, partitions_};
 }
 
-SpillRunReader::SpillRunReader(std::string path, SpillFormat format)
-    : path_(std::move(path)), format_(format) {
+SpillRunReader::SpillRunReader(std::string path) : path_(std::move(path)) {
   std::FILE* f = std::fopen(path_.c_str(), "rb");
   if (f == nullptr) throw IoError("cannot open run file " + path_);
   if (std::fseek(f, -8, SEEK_END) != 0) {
@@ -249,7 +229,7 @@ const PartitionExtent& SpillRunReader::extent(std::uint32_t partition) const {
 }
 
 RunCursor SpillRunReader::open(std::uint32_t partition) const {
-  return RunCursor(path_, extent(partition), format_);
+  return RunCursor(path_, extent(partition));
 }
 
 std::string SpillRunReader::read_partition(std::uint32_t partition) const {
@@ -282,10 +262,8 @@ std::string SpillRunReader::read_partition(std::uint32_t partition) const {
   return data;
 }
 
-RunCursor::RunCursor(const std::string& path, const PartitionExtent& extent,
-                     SpillFormat format)
-    : format_(format),
-      remaining_bytes_(extent.bytes),
+RunCursor::RunCursor(const std::string& path, const PartitionExtent& extent)
+    : remaining_bytes_(extent.bytes),
       remaining_records_(extent.records) {
   if (extent.records == 0) return;  // never opens the file
   file_ = std::fopen(path.c_str(), "rb");
@@ -303,7 +281,6 @@ RunCursor::~RunCursor() {
 
 RunCursor::RunCursor(RunCursor&& other) noexcept
     : file_(other.file_),
-      format_(other.format_),
       buffer_(std::move(other.buffer_)),
       pos_(other.pos_),
       remaining_bytes_(other.remaining_bytes_),
@@ -313,8 +290,8 @@ RunCursor::RunCursor(RunCursor&& other) noexcept
   other.remaining_records_ = 0;
 }
 
-bool RunCursor::ensure(std::size_t needed) {
-  if (buffer_.size() - pos_ >= needed) return true;
+void RunCursor::ensure(std::size_t needed) {
+  if (buffer_.size() - pos_ >= needed) return;
   // Compact consumed prefix, then top up from the file.
   buffer_.erase(0, pos_);
   pos_ = 0;
@@ -343,41 +320,27 @@ bool RunCursor::ensure(std::size_t needed) {
       }
     }
   }
-  return buffer_.size() - pos_ >= needed;
 }
 
 std::optional<RecordView> RunCursor::next() {
   if (remaining_records_ == 0) return std::nullopt;
-  std::uint64_t klen;
-  std::uint64_t vlen;
-  if (format_ == SpillFormat::kCompactVarint) {
-    // Varint headers are at most 10+10 bytes; make sure enough is buffered
-    // to decode them, then the payload.
-    ensure(20);
-    std::size_t p = pos_;
-    const std::string_view view(buffer_);
-    klen = textmr::get_varint(view, p);
-    vlen = textmr::get_varint(view, p);
-    const std::size_t header = p - pos_;
-    if (!ensure(header + klen + vlen)) throw FormatError("truncated record");
-    pos_ += header;
-    bytes_consumed_ += header;
-  } else {
-    if (!ensure(8)) throw FormatError("truncated record header");
-    std::size_t p = pos_;
-    const std::string_view view(buffer_);
-    klen = textmr::get_fixed32(view, p);
-    vlen = textmr::get_fixed32(view, p);
-    if (!ensure(8 + klen + vlen)) throw FormatError("truncated record");
-    pos_ += 8;
-    bytes_consumed_ += 8;
-  }
+  // A header is at most kMaxFrameHeaderBytes; buffer that much (or what is
+  // left) to decode it, bound the record by the partition's unread bytes,
+  // then buffer the payload.
+  ensure(kMaxFrameHeaderBytes);
+  const std::string_view view = std::string_view(buffer_).substr(pos_);
+  const FrameHeader header =
+      decode_header(view, view.size() + remaining_bytes_);
+  const std::size_t payload = std::size_t{header.key_size} + header.value_size;
+  ensure(header.header_size + payload);  // fits: decode_header bounded it
+  pos_ += header.header_size;
   RecordView record{
-      std::string_view(buffer_).substr(pos_, klen),
-      std::string_view(buffer_).substr(pos_ + klen, vlen),
+      std::string_view(buffer_).substr(pos_, header.key_size),
+      std::string_view(buffer_).substr(pos_ + header.key_size,
+                                       header.value_size),
   };
-  pos_ += klen + vlen;
-  bytes_consumed_ += klen + vlen;
+  pos_ += payload;
+  bytes_consumed_ += header.header_size + payload;
   remaining_records_ -= 1;
   return record;
 }

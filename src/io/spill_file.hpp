@@ -22,10 +22,14 @@ namespace textmr::io {
 ///   footer:         per partition [fixed64 offset][fixed64 bytes][fixed64 count]
 ///                   [fixed32 num_partitions][fixed32 magic]
 ///
-/// The varint framing is deliberately the compact choice; the
-/// `SpillFormat::kFixed32` ablation (DESIGN.md §7) swaps it for fixed-width
-/// framing to expose serialization-cost sensitivity.
-enum class SpillFormat : std::uint8_t { kCompactVarint, kFixed32 };
+/// Varint framing is the only record framing. Readers bound the key and
+/// the value sizes one at a time against the bytes that remain, so a
+/// corrupt header is a FormatError, never an out-of-range view.
+///
+/// `SpillFormat` survives only as the type of two fields that the whole-job
+/// benchmark still assigns (`JobSpec::spill_format`,
+/// `ShuffleServer::Options::spill_format`); no code in `src/` reads it.
+enum class SpillFormat : std::uint8_t { kCompactVarint };
 
 struct PartitionExtent {
   std::uint64_t offset = 0;  // byte offset of first record
@@ -57,19 +61,18 @@ struct FrameHeader {
 /// record stream layout above, so frames built in memory can be written
 /// to a run file verbatim (SpillRunWriter::append_frame).
 std::size_t encode_frame_header(char* dest, std::size_t key_size,
-                                std::size_t value_size, SpillFormat format);
+                                std::size_t value_size);
 
 /// Decodes the frame header at the start of `data`, validating that the
 /// whole framed record fits inside `data`. Throws FormatError otherwise.
-FrameHeader decode_frame_header(std::string_view data, SpillFormat format);
+FrameHeader decode_frame_header(std::string_view data);
 
 /// Sequential writer. `append` must be called with nondecreasing partition
 /// ids; key order within a partition is the caller's responsibility (the
 /// spill sorter guarantees it).
 class SpillRunWriter {
  public:
-  SpillRunWriter(std::string path, std::uint32_t num_partitions,
-                 SpillFormat format = SpillFormat::kCompactVarint);
+  SpillRunWriter(std::string path, std::uint32_t num_partitions);
   ~SpillRunWriter();
 
   SpillRunWriter(const SpillRunWriter&) = delete;
@@ -78,12 +81,10 @@ class SpillRunWriter {
   void append(std::uint32_t partition, std::string_view key,
               std::string_view value);
 
-  /// Appends one record that is already framed in this writer's format
-  /// (a blit — no re-encoding). The spill path uses this to write ring
-  /// records byte-for-byte as they already sit in memory.
+  /// Appends one record that is already framed (a blit — no re-encoding).
+  /// The spill path uses this to write ring records byte-for-byte as they
+  /// already sit in memory.
   void append_frame(std::uint32_t partition, std::string_view frame);
-
-  SpillFormat format() const { return format_; }
 
   /// Writes the footer and closes the file. Must be called exactly once.
   SpillRunInfo finish();
@@ -93,7 +94,6 @@ class SpillRunWriter {
 
   std::string path_;
   std::FILE* file_;
-  SpillFormat format_;
   std::string buffer_;
   std::uint64_t bytes_ = 0;
   std::uint64_t records_ = 0;
@@ -107,8 +107,7 @@ class SpillRunWriter {
 /// can be open on the same run.
 class RunCursor {
  public:
-  RunCursor(const std::string& path, const PartitionExtent& extent,
-            SpillFormat format);
+  RunCursor(const std::string& path, const PartitionExtent& extent);
   ~RunCursor();
 
   RunCursor(const RunCursor&) = delete;
@@ -122,10 +121,10 @@ class RunCursor {
   std::uint64_t bytes_read() const { return bytes_consumed_; }
 
  private:
-  bool ensure(std::size_t needed);
+  // Buffers `needed` bytes past pos_, or every unread byte if fewer remain.
+  void ensure(std::size_t needed);
 
   std::FILE* file_ = nullptr;
-  SpillFormat format_;
   std::string buffer_;
   std::size_t pos_ = 0;
   std::uint64_t remaining_bytes_ = 0;   // record-stream bytes not yet buffered
@@ -136,38 +135,33 @@ class RunCursor {
 /// Opens a run file's footer.
 class SpillRunReader {
  public:
-  explicit SpillRunReader(std::string path,
-                          SpillFormat format = SpillFormat::kCompactVarint);
+  explicit SpillRunReader(std::string path);
 
   std::uint32_t num_partitions() const {
     return static_cast<std::uint32_t>(partitions_.size());
   }
   const PartitionExtent& extent(std::uint32_t partition) const
       TEXTMR_LIFETIME_BOUND;
-  SpillFormat format() const { return format_; }
 
   /// Cursor over one partition.
   RunCursor open(std::uint32_t partition) const;
 
   /// Reads one partition's whole record stream in a single bulk read.
-  /// The returned bytes are frames in this run's format; decode them in
+  /// The returned bytes are framed records; decode them in
   /// place with mr::index_frames for a copy-free record index (the
   /// reduce-side shuffle path).
   std::string read_partition(std::uint32_t partition) const;
 
  private:
   std::string path_;
-  SpillFormat format_;
   std::vector<PartitionExtent> partitions_;
 };
 
-/// Serialize one record into `out` using `format`; shared by writer and
-/// the in-memory spill sorter (for exact size accounting).
+/// Appends one framed record ([header][key][value]) to `out`.
 void encode_record(std::string& out, std::string_view key,
-                   std::string_view value, SpillFormat format);
+                   std::string_view value);
 
 /// Size in bytes `encode_record` would produce.
-std::size_t encoded_record_size(std::size_t key_size, std::size_t value_size,
-                                SpillFormat format);
+std::size_t encoded_record_size(std::size_t key_size, std::size_t value_size);
 
 }  // namespace textmr::io

@@ -137,10 +137,6 @@ HashCombineShards::HashCombineShards(
       trace_(trace) {
   watermark_ = config_.memory_budget_bytes / kShards;
   shards_.resize(kShards);
-  for (Shard& shard : shards_) {
-    shard.keys = RecordArena(config_.format);
-    shard.spill = RecordArena(config_.format);
-  }
 }
 
 HashCombineShards::~HashCombineShards() = default;
@@ -498,7 +494,7 @@ void HashCombineShards::write_run(obs::SpanTimer& span) {
   const std::uint64_t sorted_ns = monotonic_ns();
 
   io::SpillRunWriter writer(next_run_path_(run_sequence_++),
-                            config_.num_partitions, config_.format);
+                            config_.num_partitions);
   for (const FlushItem& item : flush_items_) {
     const Shard& shard = shards_[item.shard];
     const Entry& entry = shard.entries[item.entry];
@@ -562,13 +558,12 @@ void HashCombineShards::flush_demoted(Shard& shard, bool final) {
   // runs to what the ring pipeline would have produced.
   Spill spill;
   spill.records = shard.spill.records();
-  spill.format = config_.format;
   spill.data_bytes = shard.spill.payload_bytes();
   spill.sequence = run_sequence_;
   spill.is_final = final;
   io::SpillRunInfo info =
       sort_and_spill(spill, combiner_, next_run_path_(run_sequence_++),
-                     config_.num_partitions, config_.format, metrics_, trace_);
+                     config_.num_partitions, metrics_, trace_);
   runs_.push_back(std::move(info));
   shard.spill.clear();
   flush_ns_ += monotonic_ns() - t0;

@@ -47,7 +47,6 @@ struct HashCombineConfig {
   /// replace the spill ring, so they inherit its budget.
   std::size_t memory_budget_bytes = 16u << 20;
   std::uint32_t num_partitions = 1;
-  io::SpillFormat format = io::SpillFormat::kCompactVarint;
 };
 
 /// The per-task shard set. Single-threaded: lives on the map thread and

@@ -65,15 +65,16 @@ struct JobSpec {
   /// Frequency-buffering configuration (paper §III).
   freqbuf::FreqBufConfig freqbuf;
 
-  Grouping grouping = Grouping::kSorted;
+  /// Not read by the runtime: varint is the only spill framing. Kept only
+  /// because the whole-job benchmark (perfbench/ledger.cpp) still copies
+  /// it into ShuffleServer::Options::spill_format; remove both together.
   io::SpillFormat spill_format = io::SpillFormat::kCompactVarint;
 
   /// Skew-aware partitioning (DESIGN.md §12): a driver-side sampling
   /// pre-pass finds heavy reduce keys, places them on dedicated
   /// reducers, splits ultra-heavy keys across several, and a finalize
   /// merge restores the canonical part-file layout — outputs stay
-  /// byte-identical to a plain hash-partitioner run. Requires
-  /// Grouping::kSorted.
+  /// byte-identical to a plain hash-partitioner run.
   SkewConfig skew;
 
   /// Concurrent map tasks / reduce tasks. Each concurrent map worker

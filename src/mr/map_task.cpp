@@ -127,7 +127,6 @@ class SpillRing {
                     : std::make_unique<spillmatch::FixedSpillPolicy>()),
         buffer_(config.spill_buffer_bytes, policy_->initial_threshold(),
                 std::max<std::uint32_t>(1, config.support_threads),
-                config.spill_format,
                 task_thread_trace(config, obs::kSpillBufferTid,
                                   "spill-buffer")),
         states_(std::max<std::uint32_t>(1, config.support_threads)) {
@@ -219,8 +218,7 @@ class SpillRing {
             *spill, state.combiner.get(),
             scratch_file(config_,
                          "spill" + std::to_string(spill->sequence) + ".run"),
-            config_.num_partitions, config_.spill_format, state.metrics,
-            trace);
+            config_.num_partitions, state.metrics, trace);
         const std::uint64_t consume_ns = monotonic_ns() - consume_start;
         buffer_.release(*spill, consume_ns);
         textmr::MutexLock lock(shared_.mu);
@@ -285,8 +283,7 @@ void finish_map_output(const MapTaskConfig& config,
   const std::string out_path = scratch_file(config, "output.run");
   if (runs.empty()) {
     // No output at all: write an empty run so downstream cursors work.
-    io::SpillRunWriter writer(out_path, config.num_partitions,
-                              config.spill_format);
+    io::SpillRunWriter writer(out_path, config.num_partitions);
     result.output = writer.finish();
   } else if (runs.size() == 1) {
     // Single run: it is already sorted and combined; adopt it (Hadoop
@@ -302,7 +299,7 @@ void finish_map_output(const MapTaskConfig& config,
     merge_span.arg("runs", static_cast<double>(runs.size()));
     result.output =
         merge_runs(runs, combiner, out_path, config.num_partitions,
-                   config.spill_format, result.map_thread);
+                   result.map_thread);
     merge_span.arg("records", static_cast<double>(result.output.records));
     if (!config.keep_spill_runs) {
       for (const auto& run : runs) {
@@ -358,7 +355,6 @@ MapTaskResult run_map_task(const MapTaskConfig& config) {
     HashCombineConfig hash_config;
     hash_config.memory_budget_bytes = config.spill_buffer_bytes;
     hash_config.num_partitions = config.num_partitions;
-    hash_config.format = config.spill_format;
     table.emplace(
         hash_config, map_combiner.get(),
         [&config](std::uint64_t sequence) {

@@ -39,7 +39,6 @@ struct MapTaskConfig {
   ReducerFactory combiner;  // may be null
 
   std::size_t spill_buffer_bytes = 16u << 20;
-  io::SpillFormat spill_format = io::SpillFormat::kCompactVarint;
 
   /// Map-side combine strategy (DESIGN.md §15); it picks only the output
   /// stage. kSort feeds the spill ring and its support threads; kHash

@@ -169,11 +169,11 @@ class SingleLookaheadStream final : public ValueStream {
 io::SpillRunInfo merge_runs(const std::vector<io::SpillRunInfo>& runs,
                             Reducer* combiner, std::string_view out_path,
                             std::uint32_t num_partitions,
-                            io::SpillFormat format, TaskMetrics& metrics) {
+                            TaskMetrics& metrics) {
   const std::uint64_t merge_start = monotonic_ns();
   std::uint64_t combine_ns = 0;
 
-  io::SpillRunWriter writer(std::string(out_path), num_partitions, format);
+  io::SpillRunWriter writer(std::string(out_path), num_partitions);
   // Scratch for the one-step lookahead below; hoisted so steady state
   // reuses capacity instead of allocating per key group.
   std::string first_scratch;
@@ -182,7 +182,7 @@ io::SpillRunInfo merge_runs(const std::vector<io::SpillRunInfo>& runs,
     std::vector<std::unique_ptr<RecordCursor>> cursors;
     cursors.reserve(runs.size());
     for (const auto& run : runs) {
-      io::SpillRunReader reader(run.path, format);
+      io::SpillRunReader reader(run.path);
       cursors.push_back(
           std::make_unique<FileRunCursor>(reader.open(partition)));
     }

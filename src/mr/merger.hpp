@@ -167,6 +167,6 @@ class KeyGroups {
 io::SpillRunInfo merge_runs(const std::vector<io::SpillRunInfo>& runs,
                             Reducer* combiner, std::string_view out_path,
                             std::uint32_t num_partitions,
-                            io::SpillFormat format, TaskMetrics& metrics);
+                            TaskMetrics& metrics);
 
 }  // namespace textmr::mr

@@ -28,10 +28,10 @@ const RecordRef& RecordArena::append(std::uint32_t partition,
                                      std::string_view key,
                                      std::string_view value) {
   const std::size_t frame_bytes =
-      io::encoded_record_size(key.size(), value.size(), format_);
+      io::encoded_record_size(key.size(), value.size());
   char* frame = allocate(frame_bytes);
   const std::size_t header =
-      io::encode_frame_header(frame, key.size(), value.size(), format_);
+      io::encode_frame_header(frame, key.size(), value.size());
   std::memcpy(frame + header, key.data(), key.size());
   std::memcpy(frame + header + key.size(), value.data(), value.size());
   records_.push_back(RecordRef{
@@ -54,13 +54,11 @@ void RecordArena::clear() {
 }
 
 std::vector<RecordRef> index_frames(std::string_view data,
-                                    std::uint32_t partition,
-                                    io::SpillFormat format) {
+                                    std::uint32_t partition) {
   std::vector<RecordRef> refs;
   std::size_t pos = 0;
   while (pos < data.size()) {
-    const io::FrameHeader header =
-        io::decode_frame_header(data.substr(pos), format);
+    const io::FrameHeader header = io::decode_frame_header(data.substr(pos));
     const char* frame = data.data() + pos;
     refs.push_back(RecordRef{
         frame,

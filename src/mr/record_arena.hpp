@@ -28,10 +28,10 @@ inline std::uint64_t key_prefix8(std::string_view key) {
   return prefix;
 }
 
-/// A reference to one *framed* record — [header][key][value] in a spill
-/// format — living in storage owned by someone else (the spill ring, a
-/// RecordArena, or a bulk-read partition buffer). Valid until that storage
-/// is released. The key prefix and sizes are denormalized here so the sort
+/// A reference to one *framed* record — [header][key][value], the spill
+/// file's record layout — living in storage owned by someone else (the
+/// spill ring, a RecordArena, or a bulk-read partition buffer). Valid
+/// until that storage is released. The key prefix and sizes are denormalized here so the sort
 /// comparator touches record bytes only on prefix ties (DESIGN.md §8).
 struct RecordRef {
   const char* frame;         // start of the framed record
@@ -71,15 +71,13 @@ inline bool record_key_equal(const RecordRef& a, const RecordRef& b) {
 /// Append-only arena of framed records with stable addresses: records are
 /// encoded once into chunked storage and referenced through RecordRefs,
 /// so sorting, combining and writing never copy key/value bytes again.
-/// Used by the reduce-side hash path, the test spill builders and the
-/// record-path benchmarks; the map-side ring (SpillBuffer) implements the
+/// Used by the map-side hash-combine shards, the test spill builders and
+/// the record-path benchmarks; the map-side ring (SpillBuffer) implements the
 /// same frame layout with bounded circular storage instead.
 class RecordArena {
  public:
-  explicit RecordArena(
-      io::SpillFormat format = io::SpillFormat::kCompactVarint,
-      std::size_t chunk_bytes = 1u << 18)
-      : format_(format), chunk_bytes_(chunk_bytes) {}
+  explicit RecordArena(std::size_t chunk_bytes = 1u << 18)
+      : chunk_bytes_(chunk_bytes) {}
 
   const RecordRef& append(std::uint32_t partition, std::string_view key,
                           std::string_view value) TEXTMR_LIFETIME_BOUND;
@@ -92,7 +90,6 @@ class RecordArena {
   }
   std::size_t size() const { return records_.size(); }
   std::uint64_t payload_bytes() const { return payload_bytes_; }
-  io::SpillFormat format() const { return format_; }
 
   /// Forgets all records but keeps the chunk storage for reuse, so a
   /// cleared arena refills without heap allocations.
@@ -106,7 +103,6 @@ class RecordArena {
     std::size_t size;
   };
 
-  io::SpillFormat format_;
   std::size_t chunk_bytes_;
   std::vector<Chunk> chunks_;
   std::size_t active_chunk_ = 0;  // chunks_[active_chunk_] is being filled
@@ -122,7 +118,6 @@ class RecordArena {
 /// stream.
 std::vector<RecordRef> index_frames(std::string_view data
                                         TEXTMR_LIFETIME_BOUND,
-                                    std::uint32_t partition,
-                                    io::SpillFormat format);
+                                    std::uint32_t partition);
 
 }  // namespace textmr::mr

@@ -13,12 +13,6 @@
 
 namespace textmr::mr {
 
-/// How reduce input is grouped. kSorted is the MapReduce model the paper
-/// assumes ("we assume that sorting is a required part of the MapReduce
-/// model", §II-A): reduce sees keys in sorted order. kHash is the §VII
-/// future-work alternative for reducers that only need grouping.
-enum class Grouping : std::uint8_t { kSorted, kHash };
-
 /// What a reduce task writes (DESIGN.md §12). kPartFile is the normal
 /// "key \t value \n" part file. The segment kinds exist for skew mode,
 /// where every physical reduce task writes a scratch segment file the
@@ -57,8 +51,6 @@ struct ReduceTaskConfig {
   /// Optional shuffle source override (see ShuffleFetcher above).
   ShuffleFetcher fetch;
   ReducerFactory reducer;
-  Grouping grouping = Grouping::kSorted;
-  io::SpillFormat spill_format = io::SpillFormat::kCompactVarint;
   /// Part file in kPartFile mode, segment file otherwise.
   std::filesystem::path output_path;
   ReduceOutputKind output_kind = ReduceOutputKind::kPartFile;

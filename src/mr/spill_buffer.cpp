@@ -16,10 +16,9 @@ constexpr double kMaxThreshold = 0.99;
 }  // namespace
 
 SpillBuffer::SpillBuffer(std::size_t capacity_bytes, double initial_threshold,
-                         std::uint32_t max_outstanding, io::SpillFormat format,
+                         std::uint32_t max_outstanding,
                          obs::TraceBuffer* trace, const common::Clock* clock)
     : capacity_(capacity_bytes),
-      format_(format),
       ring_(capacity_bytes),
       max_outstanding_(max_outstanding),
       trace_(trace),
@@ -44,7 +43,6 @@ void SpillBuffer::seal_locked() {
   if (current_records_.empty()) return;
   Spill spill;
   spill.records = std::move(current_records_);
-  spill.format = format_;
   spill.ring_bytes = current_ring_bytes_;
   spill.data_bytes = current_data_bytes_;
   spill.produce_ns = clock_->now_ns() - current_started_ns_ - current_wait_ns_;
@@ -73,8 +71,7 @@ void SpillBuffer::put(std::uint32_t partition, std::string_view key,
                       std::string_view value) {
   // One frame = the record's single in-memory copy; everything downstream
   // points into it.
-  const std::uint64_t need =
-      io::encoded_record_size(key.size(), value.size(), format_);
+  const std::uint64_t need = io::encoded_record_size(key.size(), value.size());
   if (need > capacity_) {
     throw ConfigError("record of " + std::to_string(need) +
                       " framed bytes exceeds spill buffer capacity " +
@@ -117,7 +114,7 @@ void SpillBuffer::put(std::uint32_t partition, std::string_view key,
   }
   char* dest = ring_.data() + tail_;
   const std::size_t header =
-      io::encode_frame_header(dest, key.size(), value.size(), format_);
+      io::encode_frame_header(dest, key.size(), value.size());
   std::memcpy(dest + header, key.data(), key.size());
   std::memcpy(dest + header + key.size(), value.data(), value.size());
   current_records_.push_back(RecordRef{

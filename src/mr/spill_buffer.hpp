@@ -17,11 +17,10 @@ namespace textmr::mr {
 
 /// One sealed spill region handed to the support thread. `records` are
 /// RecordRefs into the ring: each points at a framed record, already in
-/// the spill-file format, so the sorter can write uncombined records as a
+/// the spill-file layout, so the sorter writes uncombined records as a
 /// verbatim frame blit (SpillRunWriter::append_frame).
 struct Spill {
   std::vector<RecordRef> records;
-  io::SpillFormat format = io::SpillFormat::kCompactVarint;
   std::uint64_t ring_bytes = 0;   // ring bytes (incl. wrap padding) to free
   std::uint64_t data_bytes = 0;   // payload bytes (keys + values)
   std::uint64_t produce_ns = 0;   // wall time the map thread took to fill it
@@ -41,7 +40,7 @@ struct SpillTiming {
 /// support thread (consumer), modeled on Hadoop's map-side kvbuffer
 /// (paper §IV-A, Fig. 4).
 ///
-/// The producer appends records *framed in the spill-file format*
+/// The producer appends records *framed in the spill-file layout*
 /// ([header][key][value], see io::encode_frame_header) — the one and only
 /// copy a record's bytes undergo on the map side: every later stage
 /// (sort, combine grouping, spill write, merge) works through RecordRefs
@@ -78,12 +77,10 @@ class SpillBuffer {
   explicit SpillBuffer(std::size_t capacity_bytes,
                        double initial_threshold = 0.8,
                        std::uint32_t max_outstanding = 1,
-                       io::SpillFormat format = io::SpillFormat::kCompactVarint,
                        obs::TraceBuffer* trace = nullptr,
                        const common::Clock* clock = nullptr);
 
   std::size_t capacity() const { return capacity_; }
-  io::SpillFormat format() const { return format_; }
 
   // ---- producer side -------------------------------------------------
 
@@ -144,7 +141,6 @@ class SpillBuffer {
   void seal_locked() TEXTMR_REQUIRES(mu_);
 
   const std::size_t capacity_;
-  const io::SpillFormat format_;
   // Ring *payload* (framed records). Not guarded: the producer writes a
   // record's bytes under mu_, and once the region is sealed its bytes are
   // immutable until release(), so consumers read them lock-free through

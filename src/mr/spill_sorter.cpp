@@ -55,7 +55,7 @@ class CombineToRunSink final : public EmitSink {
 io::SpillRunInfo sort_and_spill(Spill& spill, Reducer* combiner,
                                 std::string_view run_path,
                                 std::uint32_t num_partitions,
-                                io::SpillFormat format, TaskMetrics& metrics,
+                                TaskMetrics& metrics,
                                 obs::TraceBuffer* trace) {
   TEXTMR_FAILPOINT("support.sort");
   {
@@ -69,10 +69,9 @@ io::SpillRunInfo sort_and_spill(Spill& spill, Reducer* combiner,
 
   obs::SpanTimer write_span(trace, "spill", "spill_write");
 
-  io::SpillRunWriter writer(std::string(run_path), num_partitions, format);
-  // Records are framed in the ring; when the run file speaks the same
-  // format, uncombined records are written as verbatim frame blits.
-  const bool blit = spill.format == format;
+  io::SpillRunWriter writer(std::string(run_path), num_partitions);
+  // Records are already framed in the ring, so uncombined records are
+  // written as verbatim frame blits.
   const std::uint64_t pass_start = monotonic_ns();
   std::uint64_t combine_ns = 0;
 
@@ -91,13 +90,9 @@ io::SpillRunInfo sort_and_spill(Spill& spill, Reducer* combiner,
       CombineToRunSink sink(writer, data[i].partition, data[i].key());
       combiner->reduce(data[i].key(), values, sink);
       combine_ns += monotonic_ns() - c0;
-    } else if (blit) {
-      for (std::size_t r = i; r < j; ++r) {
-        writer.append_frame(data[r].partition, data[r].frame_view());
-      }
     } else {
       for (std::size_t r = i; r < j; ++r) {
-        writer.append(data[r].partition, data[r].key(), data[r].value());
+        writer.append_frame(data[r].partition, data[r].frame_view());
       }
     }
     i = j;

@@ -16,8 +16,8 @@ namespace textmr::mr {
 ///
 /// Records stay in the ring throughout: the sort permutes 32-byte
 /// RecordRefs (comparing denormalized key prefixes), and uncombined
-/// records whose ring framing matches `format` are written as verbatim
-/// frame blits — no per-record serialization (DESIGN.md §8).
+/// records are written as verbatim frame blits — no per-record
+/// serialization (DESIGN.md §8).
 ///
 /// `combiner` may be null. Returns the run info from the writer's
 /// `finish()`. Sort time goes to Op::kSort, user combine time to
@@ -27,7 +27,7 @@ namespace textmr::mr {
 io::SpillRunInfo sort_and_spill(Spill& spill, Reducer* combiner,
                                 std::string_view run_path,
                                 std::uint32_t num_partitions,
-                                io::SpillFormat format, TaskMetrics& metrics,
+                                TaskMetrics& metrics,
                                 obs::TraceBuffer* trace = nullptr);
 
 }  // namespace textmr::mr

@@ -39,11 +39,6 @@ void validate_job(const JobSpec& spec) {
     }
   }
   if (spec.skew.enabled) {
-    if (spec.grouping != Grouping::kSorted) {
-      throw ConfigError(
-          "skew-aware partitioning requires sorted grouping (the finalize "
-          "merge relies on group order)");
-    }
     if (spec.skew.place_threshold <= 0.0 || spec.skew.split_threshold <= 0.0) {
       throw ConfigError("skew thresholds must be > 0");
     }
@@ -107,7 +102,6 @@ MapTaskConfig make_map_task_config(const JobSpec& spec, const MemorySplit& mem,
   config.mapper = spec.mapper;
   config.combiner = spec.combiner;
   config.spill_buffer_bytes = mem.spill_buffer_bytes;
-  config.spill_format = spec.spill_format;
   config.support_threads = spec.support_threads;
   config.combine_mode = spec.combine_mode;
   config.scratch_dir = spec.scratch_dir;
@@ -140,8 +134,6 @@ ReduceTaskConfig make_reduce_task_config(
   config.map_outputs = std::move(map_outputs);
   config.fetch = std::move(fetch);
   config.reducer = spec.reducer;
-  config.grouping = spec.grouping;
-  config.spill_format = spec.spill_format;
   config.output_path = reduce_task_output_path(spec, skew_plan, partition);
   config.trace = trace;
   if (skew_plan != nullptr) {

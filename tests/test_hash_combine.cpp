@@ -55,10 +55,9 @@ struct FlatRecord {
 };
 
 /// Reads every record of a run, partition by partition, in file order.
-std::vector<FlatRecord> read_run(const io::SpillRunInfo& info,
-                                 io::SpillFormat format) {
+std::vector<FlatRecord> read_run(const io::SpillRunInfo& info) {
   std::vector<FlatRecord> records;
-  io::SpillRunReader reader(info.path, format);
+  io::SpillRunReader reader(info.path);
   for (std::uint32_t p = 0; p < reader.num_partitions(); ++p) {
     io::RunCursor cursor = reader.open(p);
     while (auto record = cursor.next()) {
@@ -94,14 +93,12 @@ struct TableHarness {
   TaskMetrics metrics;
   std::unique_ptr<Reducer> combiner;
   std::unique_ptr<HashCombineShards> table;
-  io::SpillFormat format = io::SpillFormat::kCompactVarint;
 
   /// `combiner_in` may be null (the table then chains values).
   explicit TableHarness(
-      HashCombineConfig config,
+      const HashCombineConfig& config,
       std::unique_ptr<Reducer> combiner_in = make_summing_combiner())
       : combiner(std::move(combiner_in)) {
-    config.format = format;
     table = std::make_unique<HashCombineShards>(
         config, combiner.get(),
         [this](std::uint64_t sequence) {
@@ -132,7 +129,7 @@ TEST(HashCombine, CombineEquivalenceVsExactOracle) {
 
   const auto runs = h.table->finish();
   ASSERT_EQ(runs.size(), 1u) << "no-pressure case must emit exactly one run";
-  const auto records = read_run(runs[0], h.format);
+  const auto records = read_run(runs[0]);
   expect_run_sorted(records);
   ASSERT_EQ(records.size(), oracle.size());
   std::size_t i = 0;
@@ -180,7 +177,7 @@ TEST(HashCombine, PrefixCollisionAdversarialKeys) {
   }
   const auto runs = h.table->finish();
   ASSERT_EQ(runs.size(), 1u);
-  const auto records = read_run(runs[0], h.format);
+  const auto records = read_run(runs[0]);
   ASSERT_EQ(records.size(), oracle.size())
       << "prefix-colliding keys must not merge";
   std::size_t i = 0;
@@ -203,7 +200,7 @@ TEST(HashCombine, NoCombinerChainsAllValues) {
   }
   const auto runs = h.table->finish();
   ASSERT_EQ(runs.size(), 1u);
-  const auto records = read_run(runs[0], h.format);
+  const auto records = read_run(runs[0]);
   ASSERT_EQ(records.size(), 10u);
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(records[static_cast<std::size_t>(i)].key, "alpha");
@@ -243,7 +240,7 @@ TEST(HashCombine, WatermarkFlushesAndDemotes) {
 
   std::map<std::pair<std::uint32_t, std::string>, std::uint64_t> totals;
   for (const auto& run : runs) {
-    const auto records = read_run(run, h.format);
+    const auto records = read_run(run);
     expect_run_sorted(records);
     for (const auto& r : records) {
       totals[{r.partition, r.key}] +=
@@ -274,18 +271,16 @@ struct Insert {
 std::string sort_path_bytes(const std::vector<Insert>& inserts,
                             Reducer* combiner, std::uint32_t partitions,
                             const std::filesystem::path& path) {
-  constexpr io::SpillFormat kFormat = io::SpillFormat::kCompactVarint;
-  RecordArena arena(kFormat);
+  RecordArena arena;
   for (const Insert& r : inserts) arena.append(r.partition, r.key, r.value);
   Spill spill;
   spill.records = arena.records();
-  spill.format = kFormat;
   spill.data_bytes = arena.payload_bytes();
   spill.is_final = true;
   TaskMetrics metrics;
   const io::SpillRunInfo info =
-      sort_and_spill(spill, combiner, path.string(), partitions, kFormat,
-                     metrics, nullptr);
+      sort_and_spill(spill, combiner, path.string(), partitions, metrics,
+                     nullptr);
   return file_bytes(info.path);
 }
 
@@ -369,7 +364,7 @@ std::uint64_t hot_key_combine_work(std::size_t n) {
   }
   const auto runs = h.table->finish();
   EXPECT_EQ(runs.size(), 1u);
-  const auto records = read_run(runs.at(0), h.format);
+  const auto records = read_run(runs.at(0));
   EXPECT_EQ(records.size(), 1u) << "one combined record per key";
   std::vector<std::uint64_t> merged;
   apps::postings::decode_into(records.at(0).value, merged);
@@ -430,7 +425,7 @@ TEST(HashCombine, StagedValuesCombineAtFinishAndBeforeFlushes) {
     EXPECT_GT(h.metrics.op_ns(Op::kCombine), 0u);
     std::map<std::pair<std::uint32_t, std::string>, std::uint64_t> totals;
     for (const auto& run : runs) {
-      const auto records = read_run(run, h.format);
+      const auto records = read_run(run);
       expect_run_sorted(records);
       for (std::size_t i = 1; i < records.size(); ++i) {
         EXPECT_FALSE(records[i].partition == records[i - 1].partition &&
@@ -476,7 +471,7 @@ TEST(HashCombine, CombinerEmittingNothingIsNeverStagedInto) {
   }
   const auto runs = h.table->finish();
   ASSERT_EQ(runs.size(), 1u);
-  const auto records = read_run(runs[0], h.format);
+  const auto records = read_run(runs[0]);
   std::vector<FlatRecord> expected;
   for (const auto& [pk, count] : counts) {
     if (count == 1 || !pk.second.starts_with("drop")) {
@@ -529,7 +524,7 @@ TEST(HashCombine, TwoValueCombinerChainIsNeverStagedInto) {
       expected.push_back(FlatRecord{0, key, all.substr(all.size() / 2)});
     }
   }
-  EXPECT_EQ(read_run(runs[0], h.format), expected);
+  EXPECT_EQ(read_run(runs[0]), expected);
 }
 
 TEST(HashCombine, CombinerEmittingBeforeDrainingSeesStagedValues) {
@@ -565,7 +560,7 @@ TEST(HashCombine, CombinerEmittingBeforeDrainingSeesStagedValues) {
   ASSERT_EQ(runs.size(), 1u);
   std::map<std::string, std::uint64_t> totals;
   std::map<std::string, std::size_t> values_per_key;
-  for (const auto& r : read_run(runs[0], h.format)) {
+  for (const auto& r : read_run(runs[0])) {
     totals[r.key] += std::strtoull(r.value.c_str(), nullptr, 10);
     ++values_per_key[r.key];
   }

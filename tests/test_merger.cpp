@@ -119,7 +119,7 @@ TEST(MergeRuns, CombinesAcrossRuns) {
   TaskMetrics metrics;
   apps::WordCountCombiner combiner;
   const auto merged = merge_runs(runs, &combiner, dir.file("out").string(), 2,
-                                 io::SpillFormat::kCompactVarint, metrics);
+                                 metrics);
   EXPECT_EQ(merged.records, 3u);
 
   io::SpillRunReader reader(merged.path);
@@ -143,7 +143,7 @@ TEST(MergeRuns, WithoutCombinerKeepsAllRecords) {
   runs.push_back(write_run(dir.file("r1"), 1, {{0, "k", "c"}}));
   TaskMetrics metrics;
   const auto merged = merge_runs(runs, nullptr, dir.file("out").string(), 1,
-                                 io::SpillFormat::kCompactVarint, metrics);
+                                 metrics);
   EXPECT_EQ(merged.records, 3u);
   io::SpillRunReader reader(merged.path);
   auto cursor = reader.open(0);
@@ -180,7 +180,7 @@ TEST(MergeRuns, RandomizedManyRunsMatchReference) {
   apps::WordCountCombiner combiner;
   const auto merged =
       merge_runs(runs, &combiner, dir.file("out").string(), kPartitions,
-                 io::SpillFormat::kCompactVarint, metrics);
+                 metrics);
   EXPECT_EQ(merged.records, expected.size());
 
   io::SpillRunReader reader(merged.path);

@@ -22,19 +22,13 @@ struct EngineParams {
   std::size_t spill_buffer_kb;
   bool freqbuf;
   bool matcher;
-  mr::Grouping grouping;
-  io::SpillFormat format;
   std::string fail_spec;  // empty = no fault injection
 };
 
 void PrintTo(const EngineParams& p, std::ostream* os) {
   *os << "seed=" << p.corpus_seed << " alpha=" << p.alpha
       << " reducers=" << p.num_reducers << " buf=" << p.spill_buffer_kb
-      << "KiB freq=" << p.freqbuf << " matcher=" << p.matcher
-      << " grouping=" << (p.grouping == mr::Grouping::kSorted ? "sort" : "hash")
-      << " fmt="
-      << (p.format == io::SpillFormat::kCompactVarint ? "varint" : "fixed32")
-      << " fail=" << (p.fail_spec.empty() ? "none" : p.fail_spec);
+      << "KiB freq=" << p.freqbuf << " matcher=" << p.matcher << " fail=" << (p.fail_spec.empty() ? "none" : p.fail_spec);
 }
 
 class EngineEquivalenceTest : public ::testing::TestWithParam<EngineParams> {};
@@ -55,8 +49,6 @@ TEST_P(EngineEquivalenceTest, WordCountEqualsReferenceUnderAllConfigs) {
                              dir.file("s"), dir.file("o"), p.num_reducers);
   spec.spill_buffer_bytes = p.spill_buffer_kb * 1024;
   spec.use_spill_matcher = p.matcher;
-  spec.grouping = p.grouping;
-  spec.spill_format = p.format;
   if (p.freqbuf) {
     spec.freqbuf.enabled = true;
     spec.freqbuf.top_k = 40;
@@ -83,8 +75,7 @@ TEST_P(EngineEquivalenceTest, WordCountEqualsReferenceUnderAllConfigs) {
 }
 
 std::vector<EngineParams> equivalence_matrix() {
-  // Fault axis: sites that every configuration is guaranteed to reach
-  // (support.sort is skipped here — hash grouping never sorts).
+  // Fault axis: sites that every configuration is guaranteed to reach.
   const std::string fail_specs[] = {
       "",
       "spill.write:nth=1",
@@ -92,6 +83,7 @@ std::vector<EngineParams> equivalence_matrix() {
       "map.user_code:nth=1",
       "reduce.output_rename:nth=1",
       "spill.read:nth=1",
+      "support.sort:nth=1",
   };
   std::vector<EngineParams> params;
   std::uint64_t seed = 1000;
@@ -101,9 +93,6 @@ std::vector<EngineParams> equivalence_matrix() {
         params.push_back(EngineParams{
             ++seed, alpha, static_cast<std::uint32_t>(1 + seed % 4),
             static_cast<std::size_t>(seed % 2 == 0 ? 32 : 96), freq, matcher,
-            seed % 3 == 0 ? mr::Grouping::kHash : mr::Grouping::kSorted,
-            seed % 2 == 0 ? io::SpillFormat::kCompactVarint
-                          : io::SpillFormat::kFixed32,
             fail_specs[params.size() % std::size(fail_specs)]});
       }
     }
@@ -227,7 +216,6 @@ struct DiffParams {
   double alpha;  // corpus skew; ignored by the access-log datasets
   bool freqbuf;
   bool matcher;
-  io::SpillFormat format;
   std::size_t spill_buffer_kb;
   std::string fail_spec;  // empty = no fault injection
   bool skew = false;      // skew-aware partitioner on the optimized run
@@ -272,8 +260,7 @@ struct HashPressure {
 
 void PrintTo(const DiffParams& p, std::ostream* os) {
   *os << p.app << " seed=" << p.seed << " alpha=" << p.alpha
-      << " freq=" << p.freqbuf << " matcher=" << p.matcher << " fmt="
-      << (p.format == io::SpillFormat::kCompactVarint ? "varint" : "fixed32")
+      << " freq=" << p.freqbuf << " matcher=" << p.matcher
       << " buf=" << p.spill_buffer_kb
       << "KiB fail=" << (p.fail_spec.empty() ? "none" : p.fail_spec)
       << " skew=" << p.skew << " combine=" << combine_name(p.combine);
@@ -381,7 +368,6 @@ TEST_P(DifferentialOracleTest, OptimizedFaultedRunMatchesCleanBaseline) {
   const auto configure_optimized = [&](mr::JobSpec& spec) {
     spec.spill_buffer_bytes = p.spill_buffer_kb * 1024;
     spec.use_spill_matcher = p.matcher;
-    spec.spill_format = p.format;
     if (p.freqbuf) {
       spec.freqbuf.enabled = true;
       spec.freqbuf.top_k = 60;
@@ -509,8 +495,6 @@ std::vector<DiffParams> differential_matrix() {
           if (skew && fail == "dfs.open:nth=1") fail = "spill.read:nth=1";
           params.push_back(DiffParams{
               app, seed, alphas[seed % std::size(alphas)], freq, matcher,
-              seed % 2 == 0 ? io::SpillFormat::kCompactVarint
-                            : io::SpillFormat::kFixed32,
               static_cast<std::size_t>(seed % 3 == 0 ? 24 : 64),
               std::move(fail), skew,
               // Combine axis cycles so every app sees sort, hash and the

@@ -111,35 +111,30 @@ using RecordTuple = std::tuple<std::uint32_t, std::string, std::string>;
 TEST(RecordFuzz, FrameHeaderRoundTripAndTruncationSafety) {
   const std::size_t sizes[] = {0,     1,     7,      8,     9,     127,
                                128,   16383, 16384,  65535, 65536, 70001};
-  for (const auto format :
-       {io::SpillFormat::kCompactVarint, io::SpillFormat::kFixed32}) {
-    for (const std::size_t klen : sizes) {
-      for (const std::size_t vlen : sizes) {
-        char header[io::kMaxFrameHeaderBytes];
-        const std::size_t header_size =
-            io::encode_frame_header(header, klen, vlen, format);
-        ASSERT_LE(header_size, io::kMaxFrameHeaderBytes);
+  for (const std::size_t klen : sizes) {
+    for (const std::size_t vlen : sizes) {
+      char header[io::kMaxFrameHeaderBytes];
+      const std::size_t header_size =
+          io::encode_frame_header(header, klen, vlen);
+      ASSERT_LE(header_size, io::kMaxFrameHeaderBytes);
 
-        std::string frame(header, header_size);
-        frame.append(klen, 'k');
-        frame.append(vlen, 'v');
-        const io::FrameHeader decoded = io::decode_frame_header(frame, format);
-        EXPECT_EQ(decoded.key_size, klen);
-        EXPECT_EQ(decoded.value_size, vlen);
-        EXPECT_EQ(decoded.header_size, header_size);
+      std::string frame(header, header_size);
+      frame.append(klen, 'k');
+      frame.append(vlen, 'v');
+      const io::FrameHeader decoded = io::decode_frame_header(frame);
+      EXPECT_EQ(decoded.key_size, klen);
+      EXPECT_EQ(decoded.value_size, vlen);
+      EXPECT_EQ(decoded.header_size, header_size);
 
-        // Every strict prefix must be rejected: either the header varint
-        // is cut short or the declared payload overruns the buffer.
-        for (const std::size_t cut :
-             {std::size_t{0}, header_size / 2, header_size,
-              frame.size() - 1}) {
-          if (cut >= frame.size()) continue;
-          EXPECT_THROW(io::decode_frame_header(
-                           std::string_view(frame.data(), cut), format),
-                       FormatError)
-              << "format=" << static_cast<int>(format) << " klen=" << klen
-              << " vlen=" << vlen << " cut=" << cut;
-        }
+      // Every strict prefix must be rejected: either the header varint
+      // is cut short or the declared payload overruns the buffer.
+      for (const std::size_t cut :
+           {std::size_t{0}, header_size / 2, header_size, frame.size() - 1}) {
+        if (cut >= frame.size()) continue;
+        EXPECT_THROW(
+            io::decode_frame_header(std::string_view(frame.data(), cut)),
+            FormatError)
+            << "klen=" << klen << " vlen=" << vlen << " cut=" << cut;
       }
     }
   }
@@ -149,9 +144,7 @@ TEST(RecordFuzz, ArenaRoundTripAdversarialRecords) {
   for (std::size_t iter = 0; iter < 4 * fuzz_scale(); ++iter) {
     SCOPED_TRACE("iter=" + std::to_string(iter));
     Xoshiro256 rng(kBaseSeed + iter);
-    const auto format = iter % 2 == 0 ? io::SpillFormat::kCompactVarint
-                                      : io::SpillFormat::kFixed32;
-    RecordArena arena(format);
+    RecordArena arena;
     std::vector<RecordTuple> expected;
     for (int i = 0; i < 400; ++i) {
       const auto partition = static_cast<std::uint32_t>(rng.next_below(4));
@@ -188,9 +181,7 @@ TEST(RecordFuzz, SpillBufferRingWrapRoundTrip) {
   for (std::size_t iter = 0; iter < 2 * fuzz_scale(); ++iter) {
     SCOPED_TRACE("iter=" + std::to_string(iter));
     Xoshiro256 rng(kBaseSeed + 100 + iter);
-    const auto format = iter % 2 == 0 ? io::SpillFormat::kCompactVarint
-                                      : io::SpillFormat::kFixed32;
-    SpillBuffer buffer(1 << 14, 0.5, /*max_outstanding=*/1, format);
+    SpillBuffer buffer(1 << 14, 0.5);
     std::vector<RecordTuple> collected;
     std::thread consumer([&] {
       while (auto spill = buffer.take()) {
@@ -221,19 +212,10 @@ TEST(RecordFuzz, SortSpillReadAndIndexRoundTrip) {
     SCOPED_TRACE("iter=" + std::to_string(iter));
     Xoshiro256 rng(kBaseSeed + 200 + iter);
     TempDir dir("textmr-record-fuzz");
-    // Arena/ring format and run-file format drawn independently: equal
-    // formats exercise the verbatim frame blit, unequal the re-encode.
-    const auto arena_format = rng.next_below(2) == 0
-                                  ? io::SpillFormat::kCompactVarint
-                                  : io::SpillFormat::kFixed32;
-    const auto run_format = rng.next_below(2) == 0
-                                ? io::SpillFormat::kCompactVarint
-                                : io::SpillFormat::kFixed32;
     const auto partitions = static_cast<std::uint32_t>(1 + rng.next_below(3));
 
-    RecordArena arena(arena_format);
+    RecordArena arena;
     Spill spill;
-    spill.format = arena_format;
     std::multiset<RecordTuple> expected;
     for (int i = 0; i < 250; ++i) {
       const auto partition =
@@ -250,11 +232,11 @@ TEST(RecordFuzz, SortSpillReadAndIndexRoundTrip) {
     TaskMetrics metrics;
     const auto info =
         sort_and_spill(spill, nullptr, dir.file("run").string(), partitions,
-                       run_format, metrics);
+                       metrics);
     ASSERT_EQ(info.records, expected.size());
 
     // Pass 1: the streaming cursor (the merge input path).
-    io::SpillRunReader reader(info.path, run_format);
+    io::SpillRunReader reader(info.path);
     std::multiset<RecordTuple> streamed;
     for (std::uint32_t p = 0; p < partitions; ++p) {
       auto cursor = reader.open(p);
@@ -275,7 +257,7 @@ TEST(RecordFuzz, SortSpillReadAndIndexRoundTrip) {
     for (std::uint32_t p = 0; p < partitions; ++p) {
       const std::string bytes = reader.read_partition(p);
       ASSERT_EQ(bytes.size(), reader.extent(p).bytes);
-      const auto refs = index_frames(bytes, p, run_format);
+      const auto refs = index_frames(bytes, p);
       ASSERT_EQ(refs.size(), reader.extent(p).records);
       for (const RecordRef& ref : refs) {
         indexed.emplace(p, std::string(ref.key()), std::string(ref.value()));
@@ -286,7 +268,7 @@ TEST(RecordFuzz, SortSpillReadAndIndexRoundTrip) {
       if (!bytes.empty()) {
         EXPECT_THROW(index_frames(std::string_view(bytes.data(),
                                                    bytes.size() - 1),
-                                  p, run_format),
+                                  p),
                      FormatError);
       }
     }
@@ -299,17 +281,14 @@ TEST(RecordFuzz, MultiRunMergeRoundTrip) {
     SCOPED_TRACE("iter=" + std::to_string(iter));
     Xoshiro256 rng(kBaseSeed + 300 + iter);
     TempDir dir("textmr-merge-fuzz");
-    const auto format = iter % 2 == 0 ? io::SpillFormat::kCompactVarint
-                                      : io::SpillFormat::kFixed32;
     const std::uint32_t partitions = 2;
 
     std::vector<io::SpillRunInfo> runs;
     std::multiset<RecordTuple> expected;
-    RecordArena arena(format);
+    RecordArena arena;
     for (int run = 0; run < 4; ++run) {
       arena.clear();
       Spill spill;
-      spill.format = format;
       for (int i = 0; i < 120; ++i) {
         const auto partition =
             static_cast<std::uint32_t>(rng.next_below(partitions));
@@ -323,15 +302,15 @@ TEST(RecordFuzz, MultiRunMergeRoundTrip) {
       runs.push_back(sort_and_spill(spill, nullptr,
                                     dir.file("run" + std::to_string(run))
                                         .string(),
-                                    partitions, format, metrics));
+                                    partitions, metrics));
     }
 
     TaskMetrics merge_metrics;
     const auto merged = merge_runs(runs, nullptr, dir.file("merged").string(),
-                                   partitions, format, merge_metrics);
+                                   partitions, merge_metrics);
     ASSERT_EQ(merged.records, expected.size());
 
-    io::SpillRunReader reader(merged.path, format);
+    io::SpillRunReader reader(merged.path);
     std::multiset<RecordTuple> actual;
     for (std::uint32_t p = 0; p < partitions; ++p) {
       auto cursor = reader.open(p);

@@ -656,10 +656,6 @@ TEST(SkewValidate, RejectsInvalidSkewConfigs) {
   const auto base = corpus_job(dir, 1.1, 3, apps::wordcount_app());
   EXPECT_NO_THROW(mr::validate_job(base));
 
-  auto hash_grouping = base;
-  hash_grouping.grouping = mr::Grouping::kHash;
-  EXPECT_THROW(mr::validate_job(hash_grouping), ConfigError);
-
   auto zero_place = base;
   zero_place.skew.place_threshold = 0.0;
   EXPECT_THROW(mr::validate_job(zero_place), ConfigError);

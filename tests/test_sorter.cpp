@@ -51,7 +51,7 @@ TEST(SpillSorter, SortsByPartitionThenKey) {
   TaskMetrics metrics;
   const auto info =
       sort_and_spill(builder.spill(), nullptr, dir.file("run").string(), 2,
-                     io::SpillFormat::kCompactVarint, metrics);
+                     metrics);
   EXPECT_EQ(info.records, 4u);
 
   io::SpillRunReader reader(info.path);
@@ -73,7 +73,7 @@ TEST(SpillSorter, CombinerCollapsesDuplicates) {
   apps::WordCountCombiner combiner;
   const auto info =
       sort_and_spill(builder.spill(), &combiner, dir.file("run").string(), 1,
-                     io::SpillFormat::kCompactVarint, metrics);
+                     metrics);
   EXPECT_EQ(info.records, 2u);
 
   io::SpillRunReader reader(info.path);
@@ -112,7 +112,7 @@ TEST(SpillSorter, SingleValueGroupsSkipCombiner) {
   ThrowingCombiner combiner;
   const auto info =
       sort_and_spill(builder.spill(), &combiner, dir.file("run").string(), 1,
-                     io::SpillFormat::kCompactVarint, metrics);
+                     metrics);
   EXPECT_EQ(info.records, 2u);
 }
 
@@ -125,7 +125,7 @@ TEST(SpillSorter, EqualKeysInDifferentPartitionsStayApart) {
   apps::WordCountCombiner combiner;
   const auto info =
       sort_and_spill(builder.spill(), &combiner, dir.file("run").string(), 2,
-                     io::SpillFormat::kCompactVarint, metrics);
+                     metrics);
   EXPECT_EQ(info.records, 2u);  // not combined across partitions
   io::SpillRunReader reader(info.path);
   EXPECT_EQ(varint_of(reader.open(0).next()->value), 1u);
@@ -142,7 +142,7 @@ TEST(SpillSorter, MetricsAreAccumulated) {
   apps::WordCountCombiner combiner;
   const auto info =
       sort_and_spill(builder.spill(), &combiner, dir.file("run").string(), 1,
-                     io::SpillFormat::kCompactVarint, metrics);
+                     metrics);
   EXPECT_EQ(metrics.spilled_records, info.records);
   EXPECT_EQ(metrics.spilled_bytes, info.bytes);
   EXPECT_EQ(metrics.spill_count, 1u);
@@ -167,7 +167,7 @@ TEST(SpillSorter, RandomizedAgainstReferenceGroupBy) {
   apps::WordCountCombiner combiner;
   const auto info =
       sort_and_spill(builder.spill(), &combiner, dir.file("run").string(), 3,
-                     io::SpillFormat::kCompactVarint, metrics);
+                     metrics);
   EXPECT_EQ(info.records, expected.size());
 
   io::SpillRunReader reader(info.path);

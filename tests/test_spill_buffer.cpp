@@ -62,8 +62,7 @@ TEST(SpillBuffer, DeliversAllRecordsInOrder) {
 TEST(SpillBuffer, SlowConsumerForcesProducerWait) {
   common::ManualClock clock;
   SpillBuffer buffer(8 * 1024, 0.5, /*max_outstanding=*/1,
-                     io::SpillFormat::kCompactVarint, /*trace=*/nullptr,
-                     &clock);
+                     /*trace=*/nullptr, &clock);
   constexpr std::uint64_t kConsumeNs = 2'000'000;  // 2 ms per spill
   Collected out;
   std::atomic<bool> producer_done{false};
@@ -101,8 +100,7 @@ TEST(SpillBuffer, SlowConsumerForcesProducerWait) {
 TEST(SpillBuffer, SlowProducerForcesConsumerWait) {
   common::ManualClock clock;
   SpillBuffer buffer(1 << 16, 0.1, /*max_outstanding=*/1,
-                     io::SpillFormat::kCompactVarint, /*trace=*/nullptr,
-                     &clock);
+                     /*trace=*/nullptr, &clock);
   constexpr std::uint64_t kProduceGapNs = 3'000'000;  // 3 ms of map work
   Collected out;
   std::thread consumer([&] { out = drain(buffer); });

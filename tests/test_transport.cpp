@@ -52,9 +52,9 @@ TEST(TcpPlumbing, ListenConnectAcceptRoundTrip) {
   const int server_fd = tcp_accept(listen_fd, 2000);
   ASSERT_GE(server_fd, 0);
 
-  // Full frame round-trip in both directions, checksummed format.
-  Connection client(client_fd, FrameFormat::kChecksummed, 2000);
-  Connection server(server_fd, FrameFormat::kChecksummed, 2000);
+  // Full frame round-trip in both directions.
+  Connection client(client_fd, 2000);
+  Connection server(server_fd, 2000);
   ASSERT_TRUE(client.send(encode_shuffle_fetch(ShuffleFetchMsg{"/r", 1})));
   auto got = server.recv();
   ASSERT_TRUE(got.has_value());
@@ -92,7 +92,7 @@ TEST(TcpPlumbing, ConnectionRecvTimesOutOnSilentPeer) {
   const Endpoint bound = local_endpoint(listen_fd);
   const int client_fd = tcp_connect(bound, 2000);
   const int server_fd = tcp_accept(listen_fd, 2000);
-  Connection client(client_fd, FrameFormat::kChecksummed, 50);
+  Connection client(client_fd, 50);
   // The server never sends: the deadline must fire, not block forever —
   // this is the dead-TCP-peer bug class the io_timeout plumbing exists
   // for (a coordinator stuck in recv would hang the whole job).
@@ -113,10 +113,8 @@ struct ConnectedTcpPair {
   explicit ConnectedTcpPair(std::int32_t timeout_ms = 2000) {
     listen_fd = tcp_listen(Endpoint{});
     const Endpoint bound = local_endpoint(listen_fd);
-    client = Connection(tcp_connect(bound, timeout_ms),
-                        FrameFormat::kChecksummed, timeout_ms);
-    server = Connection(tcp_accept(listen_fd, timeout_ms),
-                        FrameFormat::kChecksummed, timeout_ms);
+    client = Connection(tcp_connect(bound, timeout_ms), timeout_ms);
+    server = Connection(tcp_accept(listen_fd, timeout_ms), timeout_ms);
   }
   ~ConnectedTcpPair() {
     if (listen_fd >= 0) ::close(listen_fd);
@@ -152,6 +150,22 @@ TEST(NetFailpoints, SendCorruptIsCaughtByReceiverChecksum) {
   EXPECT_THROW(pair.server.recv(), IoError);
 }
 
+TEST(NetFailpoints, SocketpairSendCorruptIsCaughtByReceiverChecksum) {
+  // Socketpair channels carry the same checksummed frames as TCP, in both
+  // directions: the worker's blocking recv and the coordinator's decoder.
+  auto transport = make_socketpair_transport(2000);
+  Transport::WorkerChannel channel = transport->make_worker_channel();
+  Connection worker(channel.child_fd, 2000);
+  for (Connection* sender : {&channel.coordinator, &worker}) {
+    failpoint::ScopedFailpoints guard("net.send:nth=1:action=corrupt");
+    ASSERT_TRUE(sender->send("a corruptible payload"));
+  }
+  EXPECT_THROW(worker.recv(), IoError);
+  FrameDecoder decoder;
+  ASSERT_TRUE(channel.coordinator.drain(decoder));
+  EXPECT_THROW(decoder.next(), IoError);
+}
+
 TEST(NetFailpoints, SendShortWriteTearsTheFrame) {
   ConnectedTcpPair pair;
   {
@@ -180,8 +194,7 @@ struct ShuffleRig {
 
   explicit ShuffleRig(std::uint32_t partitions = 3) {
     run_path = dir.file("map0_a0_final").string();
-    io::SpillRunWriter writer(run_path, partitions,
-                              io::SpillFormat::kCompactVarint);
+    io::SpillRunWriter writer(run_path, partitions);
     writer.append(0, "apple", "1");
     writer.append(0, "avocado", "2");
     writer.append(1, "banana", "3");
@@ -204,7 +217,7 @@ TEST(ShuffleService, FetchesEveryPartitionBitExact) {
   ASSERT_NE(server.endpoint().port, 0);
 
   ShuffleClient client;
-  io::SpillRunReader reader(rig.run_path, io::SpillFormat::kCompactVarint);
+  io::SpillRunReader reader(rig.run_path);
   std::uint64_t expected_bytes = 0;
   for (std::uint32_t p = 0; p < 3; ++p) {
     const auto fetched = client.fetch(server.endpoint(), rig.info, p);
@@ -232,7 +245,7 @@ TEST(ShuffleService, PathOutsideRootIsRejectedWithoutRetry) {
   TempDir other;
   const auto outside = other.file("evil_final").string();
   {
-    io::SpillRunWriter writer(outside, 1, io::SpillFormat::kCompactVarint);
+    io::SpillRunWriter writer(outside, 1);
     writer.append(0, "secret", "1");
     writer.finish();
   }
@@ -285,7 +298,7 @@ TEST(ShuffleService, ServeFailpointDropsConnectionClientRetries) {
   failpoint::ScopedFailpoints guard("shuffle.serve:nth=1");
   const auto fetched = client.fetch(server.endpoint(), rig.info, 0);
   ASSERT_TRUE(fetched.has_value());
-  io::SpillRunReader reader(rig.run_path, io::SpillFormat::kCompactVarint);
+  io::SpillRunReader reader(rig.run_path);
   EXPECT_EQ(*fetched, reader.read_partition(0));
 }
 
@@ -373,8 +386,7 @@ TEST(RemoteWorker, IdleTimeoutExitsWorkerWhenCoordinatorGoesSilent) {
     exit_code.store(run_remote_worker(bound, spec, options));
   });
   const int fd = tcp_accept(listen_fd, 2000);
-  ASSERT_TRUE(send_frame(fd, encode_welcome(WelcomeMsg{0, 1000}),
-                         FrameFormat::kChecksummed, 2000));
+  ASSERT_TRUE(send_frame(fd, encode_welcome(WelcomeMsg{0, 1000}), 2000));
   // Drain and discard whatever the worker sends (kHello, heartbeats) so
   // its socket buffer never fills; send nothing back.
   std::string sink(4096, '\0');
