@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the framework's hot components:
-// the Space-Saving sketch, the frequent-key table, the spill buffer, the
-// spill sorter+combiner, the tokenizer and the Zipf sampler. These back
-// the per-operation costs that the figure-level harnesses measure.
+// the Space-Saving sketch, the filtered combining table, the spill
+// buffer, the spill sorter+combiner, the tokenizer and the Zipf sampler.
+// These back the per-operation costs that the figure-level harnesses
+// measure.
 
 #include <benchmark/benchmark.h>
 
@@ -62,25 +63,34 @@ void BM_LruOffer(benchmark::State& state) {
 }
 BENCHMARK(BM_LruOffer)->Arg(1000)->Arg(10000);
 
-void BM_FrequentKeyTableHit(benchmark::State& state) {
-  class NullSink final : public mr::EmitSink {
-    void emit(std::string_view, std::string_view) override {}
-  } sink;
+void BM_FilteredTableOffer(benchmark::State& state) {
+  // FreqOpt's map-side path: the combining table with the top-250 words as
+  // its admission filter (the wc-freq setting) offered a Zipf(1.0) key
+  // stream; admitted keys stage and combine in the table, declined ones
+  // cost only the filter lookup.
+  TempDir dir("textmr-micro-table");
   mr::TaskMetrics metrics;
   apps::WordCountCombiner combiner;
+  mr::HashCombineShards table(
+      mr::HashCombineConfig{4u << 20, 1}, &combiner,
+      [&dir](std::uint64_t sequence) {
+        return dir.file("run" + std::to_string(sequence)).string();
+      },
+      metrics, nullptr);
   std::vector<std::string> hot;
-  for (int i = 1; i <= 3000; ++i) hot.push_back(textgen::word_for_rank(i));
-  freqbuf::FrequentKeyTable table(hot, {}, &combiner, sink, metrics);
+  for (int i = 1; i <= 250; ++i) hot.push_back(textgen::word_for_rank(i));
+  table.admit_only(std::move(hot));
   const auto keys = zipf_keys(1 << 16, 1.0);
   std::string value;
   put_varint(value, 1);
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.offer(keys[i++ & (keys.size() - 1)], value));
+    const std::string& key = keys[i++ & (keys.size() - 1)];
+    if (table.admits(key)) table.insert(0, key, value);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_FrequentKeyTableHit);
+BENCHMARK(BM_FilteredTableOffer);
 
 void BM_SpillBufferPipeline(benchmark::State& state) {
   // Producer/consumer throughput of the circular buffer at a given spill

@@ -7,7 +7,9 @@
 // Emits BENCH_micro_record_path.json with ns/record notes; the CI build
 // job fails if the artifact is missing (see .github/workflows/ci.yml).
 // Compare the map_side_ns_per_record note across builds to quantify
-// record-path changes.
+// record-path changes. freq_map_side_ns_per_record (sort path with
+// FreqOpt: the top-250 table in front of the ring) is reported, not
+// gated.
 
 #include <cstdio>
 #include <string>
@@ -30,10 +32,11 @@ struct MapSideRun {
 /// combine / write land on the support metrics); in kHash mode the
 /// sharded hash-combine runs everything on the map thread (flush time
 /// lands in its kSort/kSpillWrite buckets) — summing the op buckets over
-/// both structs measures the two modes with one formula.
+/// both structs measures the modes with one formula. `freq` adds FreqOpt
+/// with wc-freq's settings: top 250 keys, 30% of the memory for the table.
 MapSideRun run_map_side(const std::filesystem::path& corpus,
                         const TempDir& scratch, mr::CombineMode mode,
-                        int round) {
+                        bool freq, int round) {
   auto splits = io::make_splits(corpus.string(), 64u << 20);
   mr::MapTaskConfig config;
   config.split = splits.front();
@@ -44,11 +47,20 @@ MapSideRun run_map_side(const std::filesystem::path& corpus,
   config.combine_mode = mode;
   config.scratch_dir =
       scratch.file((mode == mr::CombineMode::kHash ? "hmap-" : "map-") +
-                   std::to_string(round));
+                   std::string(freq ? "freq-" : "") + std::to_string(round));
+  if (freq) {
+    config.freqbuf.enabled = true;
+    config.freqbuf.top_k = 250;
+    config.freqbuf.sampling_fraction = 0.01;
+    config.freqbuf.share_across_tasks = false;
+    config.freq_table_budget_bytes = config.spill_buffer_bytes * 3 / 10;
+    config.spill_buffer_bytes -= config.freq_table_budget_bytes;
+  }
 
   const auto result = mr::run_map_task(config);
   const auto framework = [](const mr::TaskMetrics& m) {
-    return m.op_ns(mr::Op::kEmit) + m.op_ns(mr::Op::kSort) +
+    return m.op_ns(mr::Op::kEmit) + m.op_ns(mr::Op::kProfile) +
+           m.op_ns(mr::Op::kFreqTable) + m.op_ns(mr::Op::kSort) +
            m.op_ns(mr::Op::kCombine) + m.op_ns(mr::Op::kSpillWrite) +
            m.op_ns(mr::Op::kMerge) + m.op_ns(mr::Op::kMergeCombine);
   };
@@ -81,10 +93,10 @@ int main() {
   // ---- map-side pipeline: sort-spill baseline vs hash-combine ----------
   // Steady-state: 1 warmup run, min of 3 measured (see run_until_steady).
   const auto cost = [](const MapSideRun& r) { return r.framework_ns; };
-  const auto measure = [&](mr::CombineMode mode) {
+  const auto measure = [&](mr::CombineMode mode, bool freq = false) {
     int round = 0;
     return bench::run_until_steady(
-        [&] { return run_map_side(corpus, dir, mode, round++); }, cost);
+        [&] { return run_map_side(corpus, dir, mode, freq, round++); }, cost);
   };
   const MapSideRun best = measure(mr::CombineMode::kSort);
   const double fw_ns = ns_per(best.framework_ns, best.records);
@@ -110,6 +122,17 @@ int main() {
               hash_wall_ns);
   report.add_note("hash_map_side_ns_per_record", hash_fw_ns);
   report.add_note("hash_map_side_wall_ns_per_record", hash_wall_ns);
+
+  const MapSideRun freq = measure(mr::CombineMode::kSort, /*freq=*/true);
+  const double freq_fw_ns = ns_per(freq.framework_ns, freq.records);
+  const double freq_wall_ns = ns_per(freq.wall_ns, freq.records);
+  std::printf("  freq  framework %8.1f ns/record "
+              "(sort path + FreqOpt profile/table)\n",
+              freq_fw_ns);
+  std::printf("  freq  wall      %8.1f ns/record (incl. user map + read)\n",
+              freq_wall_ns);
+  report.add_note("freq_map_side_ns_per_record", freq_fw_ns);
+  report.add_note("freq_map_side_wall_ns_per_record", freq_wall_ns);
 
   // ---- packed-record primitives in isolation ---------------------------
   {

@@ -100,16 +100,14 @@ void NodeKeyCache::attach_file(std::filesystem::path path) {
 }
 
 FreqBufferController::FreqBufferController(const FreqBufConfig& config,
-                                           std::uint64_t table_budget_bytes,
-                                           mr::Reducer* combiner,
-                                           mr::EmitSink& spill_sink,
+                                           bool has_combiner,
+                                           KeySink install_keys,
                                            mr::TaskMetrics& metrics,
                                            NodeKeyCache* node_cache,
                                            obs::TraceBuffer* trace)
     : config_(config),
-      table_budget_bytes_(table_budget_bytes),
-      combiner_(combiner),
-      spill_sink_(spill_sink),
+      has_combiner_(has_combiner),
+      install_keys_(std::move(install_keys)),
       metrics_(metrics),
       node_cache_(node_cache),
       trace_(trace) {
@@ -207,71 +205,54 @@ void FreqBufferController::freeze_keys() {
 }
 
 void FreqBufferController::start_optimize(std::vector<std::string> keys) {
-  if (combiner_ == nullptr) {
+  if (!has_combiner_) {
     // Without a combiner the table could only delay data, not shrink it
-    // (pure overhead); keep the profiling cost honest but absorb nothing,
+    // (pure overhead); keep the profiling cost honest but admit nothing,
     // matching the paper's ~100% runtime for AccessLogJoin (Table III).
     keys.clear();
   }
-  FrequentKeyTable::Options options;
-  options.budget_bytes = table_budget_bytes_;
-  options.per_key_limit_bytes = config_.per_key_limit_bytes;
-  table_ = std::make_unique<FrequentKeyTable>(
-      std::move(keys), options, combiner_, spill_sink_, metrics_);
   stage_ = Stage::kOptimize;
+  install_keys_(std::move(keys));
 }
 
-bool FreqBufferController::offer(std::string_view key,
-                                 std::string_view value) {
+void FreqBufferController::observe(std::string_view key) {
   ++records_seen_;
   switch (stage_) {
     case Stage::kPreProfile: {
       mr::ScopedTimer timer(metrics_, mr::Op::kProfile);
       pre_counts_.offer(key);
-      return false;
+      return;
     }
     case Stage::kProfile: {
       mr::ScopedTimer timer(metrics_, mr::Op::kProfile);
       sketch_->offer(key);
-      return false;
+      return;
     }
     case Stage::kOptimize:
-      // Sampled time-series of the table's occupancy and hit rate (one
-      // point per 1024 records; a single branch when tracing is off).
+      // Sampled time-series of the hit rate (one point per 1024 records;
+      // a single branch when tracing is off).
       if (trace_ != nullptr && (records_seen_ & 1023u) == 0) {
-        obs::record_counter(trace_, "freq", "freq_buffered_bytes",
-                            static_cast<double>(table_->buffered_bytes()));
         obs::record_counter(
             trace_, "freq", "freq_hit_rate",
             static_cast<double>(metrics_.freq_hits) /
                 static_cast<double>(records_seen_));
       }
-      // No timer here: the table accounts its fast path to kFreqTable and
-      // its combine/evict slow paths to kCombine/kEmit themselves.
-      return table_->offer(key, value);
+      return;
   }
-  return false;
 }
 
 void FreqBufferController::finish() {
-  if (stage_ != Stage::kOptimize) {
-    // Input ended before profiling completed (tiny split): freeze now so
-    // the node cache is still populated for sibling tasks.
-    if (stage_ == Stage::kPreProfile) {
-      if (records_seen_ == 0) return;
-      enter_profile_stage();
-      for (const auto& [key, count] : pre_counts_.top(pre_counts_.distinct())) {
-        for (std::uint64_t i = 0; i < count; ++i) sketch_->offer(key);
-      }
+  // Input ended before profiling completed (tiny split): freeze now so
+  // the node cache is still populated for sibling tasks.
+  if (stage_ == Stage::kOptimize) return;
+  if (stage_ == Stage::kPreProfile) {
+    if (records_seen_ == 0) return;
+    enter_profile_stage();
+    for (const auto& [key, count] : pre_counts_.top(pre_counts_.distinct())) {
+      for (std::uint64_t i = 0; i < count; ++i) sketch_->offer(key);
     }
-    freeze_keys();
   }
-  if (table_ != nullptr) {
-    obs::record_instant(trace_, "freq", "freq_flush", "buffered_bytes",
-                        static_cast<double>(table_->buffered_bytes()),
-                        "keys", static_cast<double>(table_->num_keys()));
-    table_->flush();
-  }
+  freeze_keys();
 }
 
 }  // namespace textmr::freqbuf

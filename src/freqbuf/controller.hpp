@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -9,9 +10,7 @@
 #include <vector>
 
 #include "common/mutex.hpp"
-#include "freqbuf/frequent_key_table.hpp"
 #include "mr/metrics.hpp"
-#include "mr/types.hpp"
 #include "obs/trace.hpp"
 #include "sketch/exact_counter.hpp"
 #include "sketch/space_saving.hpp"
@@ -42,9 +41,6 @@ struct FreqBufConfig {
   /// The engine shrinks the spill buffer accordingly, keeping the total
   /// memory fixed.
   double table_budget_fraction = 0.3;
-
-  /// Per-key buffered-value limit that triggers an eager combine().
-  std::uint64_t per_key_limit_bytes = 4096;
 
   /// Space-Saving capacity; 0 means 4 * top_k (a realistic budget that is
   /// below the algorithm's exactness guarantee, as in §V-B1).
@@ -95,29 +91,31 @@ class NodeKeyCache {
   std::filesystem::path file_ TEXTMR_GUARDED_BY(mu_);
 };
 
-/// Map-side frequency-buffering state machine. One instance per map task,
-/// living on the map thread's emit path:
+/// Map-side frequency-buffering state machine (paper §III). One instance
+/// per map task, fed every map-output key on the map thread:
 ///
 ///   kPreProfile --(pre_profile_fraction reached)--> kProfile
 ///   kProfile    --(sampling fraction s reached)---> kOptimize
 ///
-/// During the first two stages every record continues down the standard
-/// spill path (offer() returns false) while being counted; in kOptimize
-/// records with frequent keys are absorbed by the FrequentKeyTable.
-/// With a shared NodeKeyCache holding a frozen set, a task starts directly
-/// in kOptimize.
+/// The first two stages count keys; entering kOptimize hands the frozen
+/// top-k set to `install_keys`, which the map task installs as the
+/// admission filter of its combining table (DESIGN.md §5). The
+/// controller never sees values: records keep flowing to the output stage
+/// whatever the stage. With a shared NodeKeyCache holding a frozen set, a
+/// task starts directly in kOptimize.
 class FreqBufferController {
  public:
   enum class Stage { kPreProfile, kProfile, kOptimize };
 
-  /// `spill_sink` is where absorbed records re-enter the standard
-  /// dataflow (table overflow + final flush). `combiner` may be null.
-  /// `trace` (optional, owned by the map thread) receives stage
-  /// transitions and sampled occupancy / hit-rate counters.
-  FreqBufferController(const FreqBufConfig& config,
-                       std::uint64_t table_budget_bytes,
-                       mr::Reducer* combiner, mr::EmitSink& spill_sink,
-                       mr::TaskMetrics& metrics,
+  /// Receives the frozen key set, once.
+  using KeySink = std::function<void(std::vector<std::string> keys)>;
+
+  /// Without a combiner (`has_combiner` false) the installed set is
+  /// empty. `metrics` receives kProfile time; `trace` (optional, owned
+  /// by the map thread) receives stage transitions and a sampled hit-rate
+  /// counter.
+  FreqBufferController(const FreqBufConfig& config, bool has_combiner,
+                       KeySink install_keys, mr::TaskMetrics& metrics,
                        NodeKeyCache* node_cache = nullptr,
                        obs::TraceBuffer* trace = nullptr);
 
@@ -125,10 +123,11 @@ class FreqBufferController {
   /// the task's input processed so far. Drives stage transitions.
   void set_progress(double fraction);
 
-  /// Routes one map-output tuple. Returns true if absorbed.
-  bool offer(std::string_view key, std::string_view value);
+  /// Counts one map-output key toward the profile.
+  void observe(std::string_view key);
 
-  /// Flushes the table into the spill sink. Call once at end of input.
+  /// Freezes the set if input ended while profiling, so the node cache is
+  /// still populated for sibling tasks. Call once at end of input.
   void finish();
 
   Stage stage() const { return stage_; }
@@ -141,17 +140,14 @@ class FreqBufferController {
   /// before the fit happens).
   std::optional<sketch::ZipfFit> zipf_fit() const { return fit_; }
 
-  const FrequentKeyTable* table() const { return table_.get(); }
-
  private:
   void enter_profile_stage();
   void freeze_keys();
   void start_optimize(std::vector<std::string> keys);
 
   FreqBufConfig config_;
-  std::uint64_t table_budget_bytes_;
-  mr::Reducer* combiner_;
-  mr::EmitSink& spill_sink_;
+  bool has_combiner_;
+  KeySink install_keys_;
   mr::TaskMetrics& metrics_;
   NodeKeyCache* node_cache_;
   obs::TraceBuffer* trace_;
@@ -164,7 +160,6 @@ class FreqBufferController {
   sketch::ExactCounter pre_counts_;   // pre-profiling (exact over ~1%)
   std::optional<sketch::ZipfFit> fit_;
   std::unique_ptr<sketch::SpaceSaving> sketch_;
-  std::unique_ptr<FrequentKeyTable> table_;
 };
 
 }  // namespace textmr::freqbuf

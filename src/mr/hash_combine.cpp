@@ -124,6 +124,22 @@ class FrameSink final : public EmitSink {
   std::string_view expected_key_;
 };
 
+/// Shard from the key hash's high bits, slot index (inside hash_insert)
+/// from a remix of the low: using the same bits for both would leave every
+/// shard's table clustered in 1/P of its slots.
+inline std::uint32_t shard_of(std::uint64_t key_hash) {
+  return static_cast<std::uint32_t>((key_hash >> 32) %
+                                    HashCombineShards::kShards);
+}
+
+inline std::uint32_t shard_of(std::string_view key) {
+  return shard_of(hash_key(key));
+}
+
+inline std::size_t filter_hash(std::string_view key) {
+  return std::hash<std::string_view>{}(key);
+}
+
 }  // namespace
 
 HashCombineShards::HashCombineShards(
@@ -141,6 +157,28 @@ HashCombineShards::HashCombineShards(
 
 HashCombineShards::~HashCombineShards() = default;
 
+void HashCombineShards::admit_only(std::vector<std::string> keys) {
+  filtered_ = true;
+  admitted_ = std::move(keys);
+  std::size_t size = 16;
+  while (size < 2 * admitted_.size()) size *= 2;
+  admit_slots_.assign(size, 0);
+  for (std::size_t i = 0; i < admitted_.size(); ++i) {
+    std::size_t j = filter_hash(admitted_[i]) & (size - 1);
+    while (admit_slots_[j] != 0) j = (j + 1) & (size - 1);
+    admit_slots_[j] = static_cast<std::uint32_t>(i + 1);
+  }
+}
+
+bool HashCombineShards::filter_contains(std::string_view key) const {
+  const std::size_t mask = admit_slots_.size() - 1;
+  for (std::size_t j = filter_hash(key) & mask; admit_slots_[j] != 0;
+       j = (j + 1) & mask) {
+    if (admitted_[admit_slots_[j] - 1] == key) return true;
+  }
+  return false;
+}
+
 std::size_t HashCombineShards::resident_bytes(const Shard& shard) const {
   return shard.keys.payload_bytes() + shard.values.size() +
          shard.entries.capacity() * sizeof(Entry) +
@@ -148,10 +186,12 @@ std::size_t HashCombineShards::resident_bytes(const Shard& shard) const {
 }
 
 std::uint32_t HashCombineShards::alloc_block(Shard& shard,
-                                             std::string_view value) {
+                                             std::string_view value,
+                                             std::size_t min_slack) {
   // Slack so counter-style combined values can grow a few digits without
   // abandoning the block.
-  const std::size_t cap = value.size() + (value.size() >> 1) + 8;
+  const std::size_t cap =
+      value.size() + std::max((value.size() >> 1) + 8, min_slack);
   const std::size_t offset = shard.values.size();
   TEXTMR_CHECK(offset + kBlockHeader + cap < kNil,
                "hash-combine shard value heap overflow");
@@ -206,6 +246,20 @@ void HashCombineShards::place_combined(Shard& shard, Entry& entry,
   std::uint32_t head = entry.value_head;
   entry.value_head = entry.value_tail = kNil;
   entry.staged = 0;
+  // On a hit the head must keep room to stage the next batch: an eighth of
+  // its size, so the next full combine, which re-reads the head, waits for
+  // a batch that is a fixed fraction of it. A value the combine did not
+  // grow (a counter) keeps at least kHitSlack, so it stages a dozen hits
+  // per combine instead of one.
+  std::size_t head_slack = 0;
+  if (keep_slack && !combine_out_.empty()) {
+    const std::size_t size =
+        frame_value(combine_out_, 0, combine_out_.size()).size();
+    head_slack = size / 8;
+    if (head != kNil && size <= load_u32(shard.values, head + 4)) {
+      head_slack = std::max(head_slack, kHitSlack);
+    }
+  }
   // A combiner may legitimately emit nothing for a key; the entry then
   // holds no values and the flush skips it (exactly what the sort path
   // does when a combined group produces no records).
@@ -214,14 +268,11 @@ void HashCombineShards::place_combined(Shard& shard, Entry& entry,
         frame_value(combine_out_, at, combine_out_.size());
     at += kFrameHeader + value.size();
     if (head != kNil) {
-      // The first value overwrites the old head in place if it fits; the
-      // old chain tail (if any) becomes heap garbage until the next flush
-      // reclaims the shard. On a hit it must also leave an eighth of its
-      // size free: the next full combine re-reads the head, so it has to
-      // wait for a batch that is a fixed fraction of the head's size.
+      // The first value overwrites the old head in place if it fits with
+      // its slack; the old chain tail (if any) becomes heap garbage until
+      // the next flush reclaims the shard.
       const std::size_t cap = load_u32(shard.values, head + 8);
-      if (value.size() <= cap &&
-          (!keep_slack || cap - value.size() >= value.size() / 8)) {
+      if (value.size() + head_slack <= cap) {
         store_u32(shard.values, head, kNil);
         store_u32(shard.values, head + 4,
                   static_cast<std::uint32_t>(value.size()));
@@ -232,7 +283,8 @@ void HashCombineShards::place_combined(Shard& shard, Entry& entry,
       }
       head = kNil;
     }
-    const std::uint32_t block = alloc_block(shard, value);
+    const std::uint32_t block = alloc_block(
+        shard, value, entry.value_tail == kNil ? head_slack : 0);
     if (entry.value_tail == kNil) {
       entry.value_head = entry.value_tail = block;
     } else {
@@ -315,7 +367,8 @@ void HashCombineShards::absorb(Shard& shard, Entry& entry,
   place_combined(shard, entry, /*keep_slack=*/true);
 }
 
-void HashCombineShards::hash_insert(Shard& shard, std::uint32_t partition,
+void HashCombineShards::hash_insert(Shard& shard, std::uint64_t key_hash,
+                                    std::uint32_t partition,
                                     std::string_view key,
                                     std::string_view value) {
   if (shard.entries.size() + 1 > shard.slots.size() * 7 / 10) {
@@ -325,7 +378,7 @@ void HashCombineShards::hash_insert(Shard& shard, std::uint32_t partition,
   // keyed by (partition, key) — the skew partitioner round-robins one
   // split key across partitions, and those streams must combine apart.
   const std::uint32_t slot_hash = static_cast<std::uint32_t>(
-      mix64(hash_key(key) + partition * 0x9e3779b97f4a7c15ULL));
+      mix64(key_hash + partition * 0x9e3779b97f4a7c15ULL));
   const std::uint64_t prefix = key_prefix8(key);
   const std::uint32_t mask = static_cast<std::uint32_t>(shard.slots.size() - 1);
   std::uint32_t j = slot_hash & mask;
@@ -379,17 +432,13 @@ void HashCombineShards::demoted_insert(Shard& shard, std::uint32_t partition,
 void HashCombineShards::insert(std::uint32_t partition, std::string_view key,
                                std::string_view value) {
   const std::uint64_t h = hash_key(key);
-  // Shard from the high bits, slot index (inside hash_insert) from a
-  // remix of the low: using the same bits for both would leave every
-  // shard's table clustered in 1/P of its slots.
-  const std::uint32_t shard_index =
-      static_cast<std::uint32_t>((h >> 32) % kShards);
+  const std::uint32_t shard_index = shard_of(h);
   Shard& shard = shards_[shard_index];
   if (shard.demoted) {
     demoted_insert(shard, partition, key, value);
     return;
   }
-  hash_insert(shard, partition, key, value);
+  hash_insert(shard, h, partition, key, value);
   if (resident_bytes(shard) > watermark_) {
     flush_shard(shard_index);
   }
@@ -539,8 +588,18 @@ void HashCombineShards::flush_shard(std::uint32_t shard_index) {
   if (shard.flush_count >= kDemoteAfterFlushes) {
     // Persistent pressure: this keyspace does not fit the watermark, so
     // hashing only adds probe cost on top of the same spill volume. Fall
-    // back to the proven sort-spill path for the rest of the task.
-    shard.demoted = true;
+    // back to the proven sort-spill path for the rest of the task. Behind
+    // an admission filter that path is the caller's (the spill ring): the
+    // shard's keys leave the filter rather than start a second sort-spill
+    // path on the map thread.
+    if (filtered_) {
+      std::erase_if(admitted_, [shard_index](const std::string& key) {
+        return shard_of(key) == shard_index;
+      });
+      admit_only(std::move(admitted_));
+    } else {
+      shard.demoted = true;
+    }
     ++metrics_.hash_combine_demotions;
     obs::record_instant(trace_, "spill", "hash_demote", "shard",
                         static_cast<double>(shard_index), "flushes",

@@ -1,20 +1,24 @@
 #pragma once
 
-// Map-side sharded hash-combine (DESIGN.md §15): the Metis-style
-// generalization of frequency-buffering from "top-k keys" to the whole
-// keyspace. Each map task owns P shard hash tables; a record is routed to
-// a shard by key hash (open addressing, 8-byte big-endian key-prefix
-// confirm, then full key). Sorting is deferred to flush time: a stable
-// LSD radix pass over (partition, key prefix) with a full-key fallback
-// comparison on prefix ties — exactly record_ref_less order, so the
-// emitted runs are indistinguishable from sort-spill runs.
+// Map-side sharded hash-combine (DESIGN.md §15): the one map-side
+// combining table, Metis-style. In hash combine mode it takes the whole
+// keyspace; with frequency-buffering on the sort path (paper §III-A,
+// DESIGN.md §5) its admission filter is the frozen top-k key set and the
+// spill ring takes every declined record. Each map task owns P shard
+// hash tables; a record is routed to a shard by key hash (open
+// addressing, 8-byte big-endian key-prefix confirm, then full key).
+// Sorting is deferred to flush time: a stable LSD radix pass over
+// (partition, key prefix) with a full-key fallback comparison on prefix
+// ties — exactly record_ref_less order, so the emitted runs are
+// indistinguishable from sort-spill runs.
 //
 // Staged, batched combine: a hit does not run the combiner. Its value is
 // staged as [u32 len][bytes] in the slack of the key's head block. When
 // the slack is full, the combiner compacts the raw staged values in
 // place; once the slack holds only compacted values, it runs over the
 // head, every staged value and the incoming value, and the head keeps
-// (or moves to a block with) slack of an eighth of its size. Each full
+// (or moves to a block with) slack of an eighth of its size, and at least
+// kHitSlack bytes when the combine did not grow it (a counter). Each full
 // combine thus grows the head by a fixed fraction, so the combiner's
 // total input per key is amortized linear in the key's values, where
 // combining on every hit would be quadratic for values that grow
@@ -26,7 +30,8 @@
 // and keeps hashing; a shard that keeps breaching (kDemoteAfterFlushes)
 // is *demoted* to the existing sort-spill path (RecordArena +
 // sort_and_spill), so behavior under pressure is the proven baseline
-// path, not a new one.
+// path, not a new one. Behind an admission filter that path is the
+// caller's spill ring: demotion removes the shard's keys from the filter.
 
 #include <cstdint>
 #include <functional>
@@ -43,8 +48,9 @@
 namespace textmr::mr {
 
 struct HashCombineConfig {
-  /// The map task's memory budget (spill_buffer_bytes): the hash tables
-  /// replace the spill ring, so they inherit its budget.
+  /// The table's memory budget: the map task's spill_buffer_bytes in hash
+  /// mode, where the table replaces the spill ring, or FreqOpt's
+  /// freq_table_budget_bytes in front of the ring.
   std::size_t memory_budget_bytes = 16u << 20;
   std::uint32_t num_partitions = 1;
 };
@@ -74,6 +80,16 @@ class HashCombineShards {
 
   HashCombineShards(const HashCombineShards&) = delete;
   HashCombineShards& operator=(const HashCombineShards&) = delete;
+
+  /// Installs (or replaces) the admission filter: from now on admits()
+  /// takes exactly `keys`. A table never given one admits every key.
+  void admit_only(std::vector<std::string> keys);
+
+  /// Whether the admission filter takes `key`; insert() is only called
+  /// for keys it takes.
+  bool admits(std::string_view key) const {
+    return !filtered_ || filter_contains(key);
+  }
 
   /// Routes one map-output record: staged or combined in its shard's
   /// table, or arena append when the shard is demoted. May flush.
@@ -112,9 +128,13 @@ class HashCombineShards {
   };
 
   static constexpr std::uint32_t kNil = 0xffffffffu;
+  /// Least staging room a head keeps after a hit whose combine did not
+  /// grow it (DESIGN.md §15): a dozen staged counter hits per combine.
+  static constexpr std::size_t kHitSlack = 64;
 
-  void hash_insert(Shard& shard, std::uint32_t partition,
-                   std::string_view key, std::string_view value);
+  void hash_insert(Shard& shard, std::uint64_t key_hash,
+                   std::uint32_t partition, std::string_view key,
+                   std::string_view value);
   void demoted_insert(Shard& shard, std::uint32_t partition,
                       std::string_view key, std::string_view value);
   /// A hit with a combiner: stage `value` in the head block's slack, or
@@ -132,7 +152,9 @@ class HashCombineShards {
   /// to stage into to a fresh block.
   void place_combined(Shard& shard, Entry& entry, bool keep_slack);
 
-  std::uint32_t alloc_block(Shard& shard, std::string_view value);
+  /// A block holding `value` with at least `min_slack` free bytes.
+  std::uint32_t alloc_block(Shard& shard, std::string_view value,
+                            std::size_t min_slack = 0);
   std::size_t resident_bytes(const Shard& shard) const;
   void grow_slots(Shard& shard);
 
@@ -156,12 +178,21 @@ class HashCombineShards {
   void flush_shard(std::uint32_t shard_index);
   void flush_demoted(Shard& shard, bool final);
 
+  bool filter_contains(std::string_view key) const;
+
   HashCombineConfig config_;
   std::size_t watermark_;
   Reducer* combiner_;
   std::function<std::string(std::uint64_t)> next_run_path_;
   TaskMetrics& metrics_;
   obs::TraceBuffer* trace_;
+
+  // The admission filter: open addressing (linear probing, at most half
+  // full) over the admitted keys, looked up on every record the map task
+  // offers.
+  bool filtered_ = false;
+  std::vector<std::string> admitted_;
+  std::vector<std::uint32_t> admit_slots_;  // admitted_ index + 1; 0 = empty
 
   std::vector<Shard> shards_;
   std::vector<io::SpillRunInfo> runs_;

@@ -36,9 +36,9 @@ struct JobSpec {
   std::uint32_t num_reducers = 1;
 
   /// Total map-side memory budget per task. When frequency-buffering is
-  /// enabled, `freqbuf.table_budget_fraction` of this is carved out for
-  /// the frequent-key table and the spill buffer gets the rest, keeping
-  /// the total fixed (paper §V-B2).
+  /// enabled on the sort path, `freqbuf.table_budget_fraction` of this is
+  /// carved out for the frequent-key table and the spill buffer gets the
+  /// rest, keeping the total fixed (paper §V-B2).
   std::size_t spill_buffer_bytes = 16u << 20;
 
   /// Fixed spill threshold (Hadoop's io.sort.spill.percent default 0.8);
@@ -62,7 +62,8 @@ struct JobSpec {
   /// are then inert. Output stays byte-identical to kSort.
   CombineMode combine_mode = CombineMode::kSort;
 
-  /// Frequency-buffering configuration (paper §III).
+  /// Frequency-buffering configuration (paper §III). Sort path only: in
+  /// kHash mode the table already admits every key.
   freqbuf::FreqBufConfig freqbuf;
 
   /// Not read by the runtime: varint is the only spill framing. Kept only

@@ -18,57 +18,38 @@
 namespace textmr::mr {
 namespace {
 
-/// The tail of the map-side dataflow: partitions each record and hands it
-/// to the task's output stage — the spill ring (sort path) or the
-/// hash-combine tables (hash path); exactly one is set. Used directly by
-/// the frequency table's overflow / flush path and by the user-facing
-/// router below.
-class DirectSpillSink final : public EmitSink {
- public:
-  DirectSpillSink(SpillBuffer* ring, HashCombineShards* table,
-                  SkewAwarePartitioner& partitioner, TaskMetrics& metrics)
-      : ring_(ring), table_(table), partitioner_(partitioner),
-        metrics_(metrics) {}
-
-  void emit(std::string_view key, std::string_view value) override {
-    ScopedTimer timer(metrics_, Op::kEmit);
-    metrics_.spill_input_records += 1;
-    metrics_.spill_input_bytes += key.size() + value.size();
-    // Partitioned here, per record, for either stage: a skew plan's
-    // split-key round-robin cursor must advance identically in both
-    // modes for byte-identical output.
-    const std::uint32_t partition = partitioner_(key);
-    if (table_ != nullptr) {
-      table_->insert(partition, key, value);
-    } else {
-      ring_->put(partition, key, value);
-    }
-  }
-
- private:
-  SpillBuffer* ring_;
-  HashCombineShards* table_;
-  // Non-const: the split-key round-robin cursor advances per record.
-  // With a null plan this is exactly the old HashPartitioner path.
-  SkewAwarePartitioner& partitioner_;
-  TaskMetrics& metrics_;
-};
-
-/// The sink handed to user map() code: counts output volume, routes
-/// through frequency-buffering when active, and otherwise forwards to the
-/// output stage (ring or hash table).
+/// The sink handed to user map() code: counts output volume, feeds
+/// FreqOpt's profiler and routes each record to the task's output stage —
+/// the spill ring (sort path) or the hash-combine table (hash path). With
+/// FreqOpt on the sort path both exist: the table, its admission filter
+/// set to the frozen top-k keys, takes the records it admits and the ring
+/// takes the rest.
 class EmitRouter final : public EmitSink {
  public:
-  EmitRouter(EmitSink& spill_sink, freqbuf::FreqBufferController* freq,
-             TaskMetrics& metrics)
-      : spill_sink_(spill_sink), freq_(freq), metrics_(metrics) {}
+  EmitRouter(SpillBuffer* ring, HashCombineShards* table,
+             SkewAwarePartitioner& partitioner,
+             freqbuf::FreqBufferController* freq, TaskMetrics& metrics)
+      : ring_(ring), table_(table), partitioner_(partitioner), freq_(freq),
+        metrics_(metrics) {}
 
   void emit(std::string_view key, std::string_view value) override {
     const std::uint64_t t0 = monotonic_ns();
     metrics_.map_output_records += 1;
     metrics_.map_output_bytes += key.size() + value.size();
-    if (freq_ == nullptr || !freq_->offer(key, value)) {
-      spill_sink_.emit(key, value);
+    if (freq_ != nullptr) freq_->observe(key);
+    if (freq_ == nullptr || !absorb(key, value)) {
+      ScopedTimer timer(metrics_, Op::kEmit);
+      metrics_.spill_input_records += 1;
+      metrics_.spill_input_bytes += key.size() + value.size();
+      // Partitioned here, per record, for either stage: a skew plan's
+      // split-key round-robin cursor must advance identically in both
+      // modes for byte-identical output.
+      const std::uint32_t partition = partitioner_(key);
+      if (ring_ != nullptr) {
+        ring_->put(partition, key, value);
+      } else {
+        table_->insert(partition, key, value);
+      }
     }
     // Total time inside emit, used by the task to subtract framework time
     // from the surrounding kMapUser interval (emit ops self-account).
@@ -78,9 +59,35 @@ class EmitRouter final : public EmitSink {
   std::uint64_t inside_emit_ns() const { return inside_emit_ns_; }
 
  private:
-  EmitSink& spill_sink_;
+  /// FreqOpt (sort path only): offers the record to the filtered table;
+  /// false sends it on to the ring. Accounted to kFreqTable by
+  /// timing one offer in 32 and scaling, so an absorbed record pays no
+  /// clock read of its own; a watermark flush inside the timed offer
+  /// self-accounts to kSort/kCombine/kSpillWrite and is left out.
+  bool absorb(std::string_view key, std::string_view value) {
+    const bool timed = (sample_counter_++ & 31u) == 0;
+    const std::uint64_t t0 = timed ? monotonic_ns() : 0;
+    const std::uint64_t flush_ns = table_->flush_ns();
+    const bool admitted = table_->admits(key);
+    if (admitted) {
+      table_->insert(partitioner_(key), key, value);
+      metrics_.freq_hits += 1;
+    }
+    if (timed) {
+      metrics_.op_ns(Op::kFreqTable) +=
+          (monotonic_ns() - t0 - (table_->flush_ns() - flush_ns)) * 32;
+    }
+    return admitted;
+  }
+
+  SpillBuffer* ring_;
+  HashCombineShards* table_;
+  // Non-const: the split-key round-robin cursor advances per record.
+  // With a null plan this is exactly the old HashPartitioner path.
+  SkewAwarePartitioner& partitioner_;
   freqbuf::FreqBufferController* freq_;
   TaskMetrics& metrics_;
+  std::uint32_t sample_counter_ = 0;
   std::uint64_t inside_emit_ns_ = 0;
 };
 
@@ -348,12 +355,18 @@ MapTaskResult run_map_task(const MapTaskConfig& config) {
   }
 
   // ---- output stage: the only thing the combine mode decides -------------
+  // Hash mode: the table takes every record. Sort mode: the ring does,
+  // except that FreqOpt puts the table, admitting nothing until profiling
+  // freezes the top-k set, in front of it within its own budget.
+  const bool hash_mode = config.combine_mode == CombineMode::kHash;
+  const bool freq_on = config.freqbuf.enabled && !hash_mode;
   std::optional<SpillRing> ring;
   std::optional<HashCombineShards> table;
-  if (config.combine_mode == CombineMode::kHash) {
-    task_span.arg("hash_combine", 1.0);
+  if (hash_mode) task_span.arg("hash_combine", 1.0);
+  if (hash_mode || freq_on) {
     HashCombineConfig hash_config;
-    hash_config.memory_budget_bytes = config.spill_buffer_bytes;
+    hash_config.memory_budget_bytes =
+        hash_mode ? config.spill_buffer_bytes : config.freq_table_budget_bytes;
     hash_config.num_partitions = config.num_partitions;
     table.emplace(
         hash_config, map_combiner.get(),
@@ -362,21 +375,23 @@ MapTaskResult run_map_task(const MapTaskConfig& config) {
                               "hspill" + std::to_string(sequence) + ".run");
         },
         result.map_thread, map_trace);
-  } else {
-    ring.emplace(config);
   }
-  DirectSpillSink spill_sink(ring ? &ring->buffer() : nullptr,
-                             table ? &*table : nullptr, partitioner,
-                             result.map_thread);
+  if (!hash_mode) ring.emplace(config);
 
   // ---- map thread (this thread) ------------------------------------------
   std::unique_ptr<freqbuf::FreqBufferController> freq;
-  if (config.freqbuf.enabled) {
+  if (freq_on) {
+    table->admit_only({});
     freq = std::make_unique<freqbuf::FreqBufferController>(
-        config.freqbuf, config.freq_table_budget_bytes, map_combiner.get(),
-        spill_sink, result.map_thread, config.node_cache, map_trace);
+        config.freqbuf, map_combiner != nullptr,
+        [&table](std::vector<std::string> keys) {
+          table->admit_only(std::move(keys));
+        },
+        result.map_thread, config.node_cache, map_trace);
   }
-  EmitRouter router(spill_sink, freq.get(), result.map_thread);
+  EmitRouter router(ring ? &ring->buffer() : nullptr,
+                    table ? &*table : nullptr, partitioner, freq.get(),
+                    result.map_thread);
 
   try {
     std::unique_ptr<Mapper> mapper = config.mapper();
@@ -421,20 +436,31 @@ MapTaskResult run_map_task(const MapTaskConfig& config) {
     throw;
   }
 
-  std::vector<io::SpillRunInfo> runs;
+  std::vector<io::SpillRunInfo> table_runs;
   if (table) {
-    // Watermark flushes ran inside insert(), i.e. inside the kEmit scope;
-    // their time self-accounted to kCombine/kSort/kSpillWrite, so subtract
-    // it from kEmit (the finish() flush below runs outside any emit
-    // interval).
-    const std::uint64_t flush_in_emit = table->flush_ns();
-    runs = table->finish();
-    std::uint64_t& emit_ns = result.map_thread.op_ns(Op::kEmit);
-    emit_ns -= std::min(emit_ns, flush_in_emit);
-    result.spills = runs.size();
-  } else {
-    runs = ring->finish(result);
+    const std::uint64_t flush_in_insert = table->flush_ns();
+    table_runs = table->finish();
+    if (ring) {
+      // FreqOpt: everything the filtered table wrote, combined.
+      for (const auto& run : table_runs) {
+        result.map_thread.freq_flushes += run.records;
+      }
+    } else {
+      // Hash mode: watermark flushes ran inside insert(), i.e. inside the
+      // kEmit scope; their time self-accounted to kCombine/kSort/
+      // kSpillWrite, so subtract it from kEmit (finish() runs outside any
+      // emit interval).
+      std::uint64_t& emit_ns = result.map_thread.op_ns(Op::kEmit);
+      emit_ns -= std::min(emit_ns, flush_in_insert);
+    }
   }
+  std::vector<io::SpillRunInfo> runs;
+  if (ring) runs = ring->finish(result);
+  // The table's runs are sorted and combined like the ring's; the final
+  // merge takes both.
+  result.spills += table_runs.size();
+  runs.insert(runs.end(), std::make_move_iterator(table_runs.begin()),
+              std::make_move_iterator(table_runs.end()));
   result.pipeline_wall_ns = monotonic_ns() - task_start;
 
   // ---- final merge --------------------------------------------------------

@@ -55,9 +55,11 @@ struct MapTaskConfig {
   /// Spill threshold policy; if null, Hadoop's fixed 0.8 is used.
   spillmatch::SpillPolicyFactory spill_policy;
 
-  /// Frequency-buffering; `freqbuf.enabled` gates it. When enabled, the
-  /// engine has already carved `table_budget_bytes` out of the memory
-  /// budget (spill_buffer_bytes excludes it).
+  /// Frequency-buffering; `freqbuf.enabled` gates it on the sort path
+  /// (hash mode ignores it). When enabled, the engine has already carved
+  /// `freq_table_budget_bytes`, the budget of the combining table in front
+  /// of the ring, out of the memory budget (spill_buffer_bytes excludes
+  /// it).
   freqbuf::FreqBufConfig freqbuf;
   std::uint64_t freq_table_budget_bytes = 0;
   freqbuf::NodeKeyCache* node_cache = nullptr;  // may be null
@@ -96,11 +98,12 @@ struct MapTaskResult {
 std::string map_attempt_prefix(std::uint32_t task_id, std::uint32_t attempt);
 
 /// Runs one map task. The map thread (the caller's) reads the split, runs
-/// map() and emits through frequency-buffering into the output stage that
-/// combine_mode picks: the spill ring drained by `support_threads` support
-/// threads (one by default: Hadoop's 1-map 1-support structure that the
-/// paper instruments, §II-C2, and optimizes, §III, §IV), or the
-/// hash-combine tables on the map thread.
+/// map() and emits into the output stage that combine_mode picks: the
+/// spill ring drained by `support_threads` support threads (one by
+/// default: Hadoop's 1-map 1-support structure that the paper
+/// instruments, §II-C2, and optimizes, §III, §IV), with FreqOpt's
+/// admission-filtered combining table in front of it when enabled; or
+/// the hash-combine tables on the map thread.
 MapTaskResult run_map_task(const MapTaskConfig& config);
 
 }  // namespace textmr::mr

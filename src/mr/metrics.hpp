@@ -18,9 +18,10 @@ enum class Op : std::size_t {
   kMapUser,         // user map() code (excluding time inside emit())
   kEmit,            // serializing records into the spill buffer
   kProfile,         // frequency-buffering profiling overhead (sketch updates)
-  kFreqTable,       // frequency-buffering hash-table path (hits + flushes)
+  kFreqTable,       // FreqOpt table path: filter lookup, staging and in-table
+                    // combines (timed 1 record in 32, scaled)
   kSort,            // sorting spill regions
-  kCombine,         // user combine() code (spill and freq-table paths)
+  kCombine,         // user combine() code (spill and table-flush paths)
   kSpillWrite,      // writing sorted spill runs to disk
   kMerge,           // map-side k-way merge (read + heap + write)
   kMergeCombine,    // user combine() code invoked from the merge path
@@ -53,10 +54,12 @@ struct TaskMetrics {
   std::uint64_t input_bytes = 0;
   std::uint64_t map_output_records = 0;   // records emitted by map()
   std::uint64_t map_output_bytes = 0;     // serialized bytes emitted by map()
-  std::uint64_t freq_hits = 0;            // records absorbed by the freq table
-  std::uint64_t freq_flushes = 0;         // records re-emitted by table flushes
-  std::uint64_t hash_combine_hits = 0;     // probe hits in the hash-combine path
-  std::uint64_t hash_combine_flushes = 0;  // watermark flushes of hash shards
+  std::uint64_t freq_hits = 0;     // records FreqOpt's filter admitted
+  std::uint64_t freq_flushes = 0;  // records FreqOpt's table wrote to runs
+  // The combining table's own counts, in hash mode or behind FreqOpt's
+  // filter.
+  std::uint64_t hash_combine_hits = 0;     // probe hits in the table
+  std::uint64_t hash_combine_flushes = 0;  // watermark flushes of its shards
   std::uint64_t hash_combine_demotions = 0;  // shards demoted to sort-spill
   std::uint64_t spill_input_records = 0;  // records entering the spill buffer
   std::uint64_t spill_input_bytes = 0;    // bytes entering the spill buffer

@@ -13,8 +13,11 @@ char* RecordArena::allocate(std::size_t bytes) {
     if (active_chunk_ + 1 < chunks_.size()) {
       ++active_chunk_;
     } else {
+      // Not zero-filled: frames are written before they are read, and an
+      // untouched chunk tail then costs address space, not resident memory.
       const std::size_t size = std::max(chunk_bytes_, bytes);
-      chunks_.push_back(Chunk{std::make_unique<char[]>(size), size});
+      chunks_.push_back(
+          Chunk{std::make_unique_for_overwrite<char[]>(size), size});
       active_chunk_ = chunks_.size() - 1;
     }
     chunk_used_ = 0;

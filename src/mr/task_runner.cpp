@@ -33,7 +33,13 @@ void validate_job(const JobSpec& spec) {
         spec.freqbuf.table_budget_fraction >= 1.0) {
       throw ConfigError("freqbuf table_budget_fraction must be in (0, 1)");
     }
-    if (!spec.combiner) {
+    if (spec.freqbuf.top_k == 0) {
+      throw ConfigError("freqbuf top_k must be >= 1");
+    }
+    if (spec.combine_mode == CombineMode::kHash) {
+      TEXTMR_LOG(kWarn) << "frequency-buffering has no effect in hash combine "
+                           "mode: its table already admits every key";
+    } else if (!spec.combiner) {
       TEXTMR_LOG(kWarn) << "frequency-buffering without a combiner cannot "
                            "shrink intermediate data";
     }
@@ -76,7 +82,7 @@ std::filesystem::path reduce_task_output_path(const JobSpec& spec,
 MemorySplit split_memory(const JobSpec& spec) {
   MemorySplit mem;
   mem.spill_buffer_bytes = spec.spill_buffer_bytes;
-  if (spec.freqbuf.enabled) {
+  if (spec.freqbuf.enabled && spec.combine_mode == CombineMode::kSort) {
     mem.freq_table_budget_bytes = static_cast<std::uint64_t>(
         static_cast<double>(spec.spill_buffer_bytes) *
         spec.freqbuf.table_budget_fraction);

@@ -21,9 +21,7 @@ namespace textmr::obs {
 const char* const kKnownEventNames[] = {
     "buffer_fill",
     "clock_sync",
-    "freq_buffered_bytes",
     "freq_cached_keys",
-    "freq_flush",
     "freq_freeze",
     "freq_hit_rate",
     "freq_profile_begin",

@@ -240,6 +240,12 @@ TEST(Engine, ValidatesSpec) {
                         fx.dir.file("o"));
   spec.mapper = nullptr;
   EXPECT_THROW(engine.run(spec), ConfigError);
+
+  spec = test::make_job(apps::wordcount_app(), fx.splits, fx.dir.file("s"),
+                        fx.dir.file("o"));
+  spec.freqbuf.enabled = true;
+  spec.freqbuf.top_k = 0;
+  EXPECT_THROW(engine.run(spec), ConfigError);
 }
 
 TEST(Engine, MetricsVolumesAreConsistent) {

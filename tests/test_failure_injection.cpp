@@ -98,7 +98,6 @@ TEST(FailureInjection, FreqBufCombinerFailurePropagates) {
   spec.freqbuf.enabled = true;
   spec.freqbuf.top_k = 20;
   spec.freqbuf.sampling_fraction = 0.02;
-  spec.freqbuf.per_key_limit_bytes = 8;  // force combine calls in the table
   std::atomic<int> calls{0};
   spec.combiner = [&calls] {
     return std::make_unique<mr::LambdaReducer>(

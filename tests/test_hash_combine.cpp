@@ -258,6 +258,115 @@ TEST(HashCombine, FinishedTwiceThrows) {
   EXPECT_THROW((void)h.table->finish(), InternalError);
 }
 
+// ---- admission filter: FreqOpt's top-k set (DESIGN.md §5) ----------------
+
+TEST(HashCombine, FilterAdmitsOnlyItsKeys) {
+  // Only admitted keys enter the table; a hot key's hits combine in place,
+  // so 1000 of them stay under a 1 KiB watermark and finish() writes one
+  // record per admitted key.
+  HashCombineConfig config;
+  config.memory_budget_bytes = HashCombineShards::kShards * 1024;
+  TableHarness h(config);
+  EXPECT_TRUE(h.table->admits("cold")) << "no filter admits every key";
+  h.table->admit_only({"hot", "warm"});
+  EXPECT_TRUE(h.table->admits("hot"));
+  EXPECT_TRUE(h.table->admits("warm"));
+  EXPECT_FALSE(h.table->admits("cold"));
+  EXPECT_FALSE(h.table->admits("ho"));
+  for (int i = 0; i < 1000; ++i) h.table->insert(0, "hot", "1");
+  h.table->insert(0, "warm", "1");
+  EXPECT_EQ(h.metrics.hash_combine_flushes, 0u);
+  const auto runs = h.table->finish();
+  ASSERT_EQ(runs.size(), 1u);
+  const std::vector<FlatRecord> expected = {{0, "hot", "1000"},
+                                            {0, "warm", "1"}};
+  EXPECT_EQ(read_run(runs[0]), expected);
+}
+
+TEST(HashCombine, EmptyFilterAdmitsNothing) {
+  HashCombineConfig config;
+  TableHarness h(config);
+  h.table->admit_only({});
+  EXPECT_FALSE(h.table->admits("anything"));
+  EXPECT_FALSE(h.table->admits(""));
+  EXPECT_TRUE(h.table->finish().empty());
+}
+
+TEST(HashCombine, FilteredTableConservesCountsUnderPressure) {
+  // Randomized conservation against the exact oracle: half the keys are
+  // admitted, the rest go where the spill ring would take them. A tight
+  // budget drives the admitted keys' shards through watermark flushes and
+  // demotion, which under a filter sheds the shard's keys to the ring;
+  // every count still arrives exactly once.
+  HashCombineConfig config;
+  config.num_partitions = 2;
+  config.memory_budget_bytes = HashCombineShards::kShards * 512;
+  TableHarness h(config);
+  std::vector<std::string> admitted;
+  for (int i = 0; i < 64; i += 2) admitted.push_back("k" + std::to_string(i));
+  h.table->admit_only(admitted);
+
+  std::map<std::pair<std::uint32_t, std::string>, std::uint64_t> oracle;
+  std::map<std::pair<std::uint32_t, std::string>, std::uint64_t> totals;
+  Xoshiro256 rng(0x66726571ULL);  // "freq"
+  for (std::size_t i = 0; i < 20000; ++i) {
+    const std::string key = "k" + std::to_string(rng.next_below(64));
+    const auto partition = static_cast<std::uint32_t>(rng.next_below(2));
+    const std::uint64_t count = 1 + rng.next_below(7);
+    oracle[{partition, key}] += count;
+    if (h.table->admits(key)) {
+      h.table->insert(partition, key, std::to_string(count));
+    } else {
+      totals[{partition, key}] += count;  // the ring's share
+    }
+  }
+  const auto runs = h.table->finish();
+  EXPECT_GT(h.metrics.hash_combine_flushes, 0u);
+  EXPECT_GT(h.metrics.hash_combine_demotions, 0u);
+  // A demoted shard's keys left the filter: the ring takes them from then
+  // on, and the table wrote no raw sort-spill runs of its own.
+  std::size_t still_admitted = 0;
+  for (const std::string& key : admitted) {
+    still_admitted += h.table->admits(key) ? 1 : 0;
+  }
+  EXPECT_LT(still_admitted, admitted.size());
+  for (const auto& run : runs) {
+    const auto records = read_run(run);
+    expect_run_sorted(records);
+    for (const auto& r : records) {
+      totals[{r.partition, r.key}] +=
+          std::strtoull(r.value.c_str(), nullptr, 10);
+    }
+  }
+  EXPECT_EQ(totals, oracle);
+}
+
+TEST(HashCombine, FilteredTableWithoutCombinerKeepsEveryValue) {
+  // No combiner: admitted values cannot shrink, so the budget forces
+  // flushes; every value reaches a run exactly once, in arrival order.
+  HashCombineConfig config;
+  config.memory_budget_bytes = HashCombineShards::kShards * 512;
+  TableHarness h(config, /*combiner_in=*/nullptr);
+  h.table->admit_only({"a", "b"});
+  for (int i = 0; i < 40; ++i) {
+    h.table->insert(0, "a", "a" + std::to_string(i));
+    h.table->insert(0, "b", "b" + std::to_string(i));
+  }
+  const auto runs = h.table->finish();
+  EXPECT_GT(h.metrics.hash_combine_flushes, 0u);
+  std::map<std::string, std::vector<std::string>> values;
+  for (const auto& run : runs) {
+    for (const auto& r : read_run(run)) values[r.key].push_back(r.value);
+  }
+  ASSERT_EQ(values.size(), 2u);
+  for (const char* key : {"a", "b"}) {
+    ASSERT_EQ(values[key].size(), 40u) << key;
+    for (std::size_t i = 0; i < 40; ++i) {
+      EXPECT_EQ(values[key][i], key + std::to_string(i));
+    }
+  }
+}
+
 // ---- staged, batched combine ----------------------------------------------
 
 struct Insert {
@@ -593,12 +702,14 @@ std::unique_ptr<Mapper> make_word_mapper() {
 }
 
 /// Runs one map task over `input` in the given combine mode and memory
-/// budget and returns its output run.
+/// budget and returns its output run. A non-zero `freq_table_budget_bytes`
+/// turns FreqOpt on (top 20 keys after 5% of the input) with that budget.
 MapOutput map_output(const std::filesystem::path& input,
                      const std::filesystem::path& scratch, CombineMode mode,
                      std::size_t spill_buffer_bytes,
                      MapperFactory mapper = make_word_mapper,
-                     ReducerFactory combiner = make_summing_combiner) {
+                     ReducerFactory combiner = make_summing_combiner,
+                     std::uint64_t freq_table_budget_bytes = 0) {
   MapTaskConfig config;
   config.task_id = 0;
   config.split = io::InputSplit{input.string(), 0,
@@ -609,6 +720,13 @@ MapOutput map_output(const std::filesystem::path& input,
   config.spill_buffer_bytes = spill_buffer_bytes;
   config.scratch_dir = scratch;
   config.combine_mode = mode;
+  if (freq_table_budget_bytes != 0) {
+    config.freqbuf.enabled = true;
+    config.freqbuf.top_k = 20;
+    config.freqbuf.sampling_fraction = 0.05;
+    config.freqbuf.share_across_tasks = false;
+    config.freq_table_budget_bytes = freq_table_budget_bytes;
+  }
   const MapTaskResult result = run_map_task(config);
   return MapOutput{file_bytes(result.output.path), result.map_thread};
 }
@@ -681,6 +799,62 @@ TEST(HashCombine, MapTaskByteIdenticalAcrossModes) {
       << "InvertedIndex watermark/demotion output differs from sort path";
   EXPECT_GT(index_forced.map_thread.hash_combine_flushes, 0u);
   EXPECT_GT(index_forced.map_thread.hash_combine_demotions, 0u);
+}
+
+TEST(HashCombine, FreqOptTableInFrontOfRingMatchesSortPath) {
+  // FreqOpt on the sort path: the filtered table absorbs the top-k keys
+  // and its runs join the ring's in the final merge. The output must be
+  // the sort path's bytes, with a roomy table and with one (2 KiB, 256 B
+  // per shard) that flushes and demotes.
+  TempDir dir;
+  const std::filesystem::path input = dir.path() / "input.txt";
+  {
+    std::ofstream out(input);
+    Xoshiro256 rng(0x66726571ULL);  // "freq"
+    for (int line = 0; line < 4000; ++line) {
+      for (int w = 0; w < 8; ++w) {
+        out << "word" << rng.next_below(1 + rng.next_below(900))
+            << (w == 7 ? '\n' : ' ');
+      }
+    }
+  }
+  const MapOutput sorted =
+      map_output(input, dir.path() / "s", CombineMode::kSort, 64u << 10);
+  const MapOutput roomy =
+      map_output(input, dir.path() / "f", CombineMode::kSort, 64u << 10,
+                 make_word_mapper, make_summing_combiner, 64u << 10);
+  const MapOutput tight =
+      map_output(input, dir.path() / "t", CombineMode::kSort, 64u << 10,
+                 make_word_mapper, make_summing_combiner, 2u << 10);
+  ASSERT_FALSE(sorted.bytes.empty());
+  EXPECT_EQ(sorted.bytes, roomy.bytes);
+  EXPECT_EQ(sorted.bytes, tight.bytes);
+  EXPECT_EQ(sorted.map_thread.freq_hits, 0u);
+  for (const MapOutput* freq : {&roomy, &tight}) {
+    const TaskMetrics& m = freq->map_thread;
+    EXPECT_GT(m.freq_hits, 0u);
+    EXPECT_GT(m.freq_flushes, 0u);
+    EXPECT_LE(m.freq_flushes, m.freq_hits);
+    EXPECT_EQ(m.spill_input_records + m.freq_hits, m.map_output_records);
+    EXPECT_GT(m.op_ns(Op::kFreqTable), 0u);
+  }
+  EXPECT_LT(roomy.map_thread.freq_flushes * 10, roomy.map_thread.freq_hits);
+  EXPECT_EQ(roomy.map_thread.hash_combine_flushes, 0u);
+  EXPECT_GT(tight.map_thread.hash_combine_flushes, 0u);
+  EXPECT_GT(tight.map_thread.hash_combine_demotions, 0u);
+
+  // Without a combiner FreqOpt still profiles but admits nothing.
+  const MapOutput plain =
+      map_output(input, dir.path() / "p", CombineMode::kSort, 64u << 10,
+                 make_word_mapper, nullptr);
+  const MapOutput plain_freq =
+      map_output(input, dir.path() / "pf", CombineMode::kSort, 64u << 10,
+                 make_word_mapper, nullptr, 64u << 10);
+  EXPECT_EQ(plain.bytes, plain_freq.bytes);
+  EXPECT_EQ(plain_freq.map_thread.freq_hits, 0u);
+  EXPECT_EQ(plain_freq.map_thread.freq_flushes, 0u);
+  EXPECT_EQ(plain_freq.map_thread.spill_input_records,
+            plain_freq.map_thread.map_output_records);
 }
 
 }  // namespace
