@@ -26,28 +26,10 @@ using namespace textmr;
 
 namespace {
 
-constexpr int kRepeats = 5;
-
-struct Spread {
-  double median = 0, q1 = 0, q3 = 0;
-};
-
-/// Median and quartiles, interpolating linearly between order statistics.
-Spread spread(std::vector<double> xs) {
-  std::sort(xs.begin(), xs.end());
-  auto quantile = [&xs](double q) {
-    const double pos = q * static_cast<double>(xs.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, xs.size() - 1);
-    return xs[lo] + (xs[hi] - xs[lo]) * (pos - static_cast<double>(lo));
-  };
-  return {quantile(0.5), quantile(0.25), quantile(0.75)};
-}
-
 /// Repeated runs of one cell; `last` is the final run's result.
 struct Cell {
-  Spread wall_ms;
-  Spread work_ms;
+  bench::Spread wall_ms;
+  bench::Spread work_ms;
   mr::JobResult last;
 };
 
@@ -55,7 +37,7 @@ Cell run_cell(
     const std::function<mr::JobSpec(const std::filesystem::path&)>& make) {
   std::vector<double> wall, work;
   Cell cell;
-  for (int i = 0; i < kRepeats; ++i) {
+  for (int i = 0; i < bench::kRepeats; ++i) {
     TempDir dir("textmr-ablation");
     mr::LocalEngine engine;
     cell.last = engine.run(make(dir.path()));
@@ -63,21 +45,15 @@ Cell run_cell(
     work.push_back(static_cast<double>(cell.last.metrics.work.total_ns()) *
                    1e-6);
   }
-  cell.wall_ms = spread(std::move(wall));
-  cell.work_ms = spread(std::move(work));
+  cell.wall_ms = bench::spread(std::move(wall));
+  cell.work_ms = bench::spread(std::move(work));
   return cell;
-}
-
-std::string ms(const Spread& s) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%7.1f [%7.1f-%7.1f]", s.median, s.q1,
-                s.q3);
-  return buf;
 }
 
 void print_cell(const char* label, const Cell& cell) {
   std::printf("   %-14s wall ms %s   work ms %s\n", label,
-              ms(cell.wall_ms).c_str(), ms(cell.work_ms).c_str());
+              bench::format_spread(cell.wall_ms, "%7.1f").c_str(),
+              bench::format_spread(cell.work_ms, "%7.1f").c_str());
 }
 
 void add_notes(bench::JsonReport& report, const std::string& cell_name,
@@ -93,7 +69,7 @@ void add_notes(bench::JsonReport& report, const std::string& cell_name,
 int main() {
   bench::JsonReport report("ablation_design_choices");
   std::printf("Ablations over WordCount: median [IQR] of %d runs per cell\n\n",
-              kRepeats);
+              bench::kRepeats);
   const auto app = apps::wordcount_app();
 
   {

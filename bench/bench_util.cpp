@@ -1,5 +1,6 @@
 #include "bench_util.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -258,6 +259,26 @@ CalibratedProfiles measure_profiles(const apps::AppBundle& app) {
       static_cast<double>(freq_run.metrics.map_work.input_bytes);
   profiles.freq.produce_cpu_ns_per_input_byte += base_user - freq_user;
   return profiles;
+}
+
+Spread spread(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  auto quantile = [&xs](double q) {
+    const double pos = q * static_cast<double>(xs.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+    return xs[lo] + (xs[hi] - xs[lo]) * (pos - static_cast<double>(lo));
+  };
+  return {quantile(0.5), quantile(0.25), quantile(0.75)};
+}
+
+std::string format_spread(const Spread& s, const char* format) {
+  const auto number = [format](double x) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), format, x);
+    return std::string(buf);
+  };
+  return number(s.median) + " [" + number(s.q1) + ", " + number(s.q3) + "]";
 }
 
 void print_rule(char c, int width) {

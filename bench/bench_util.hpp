@@ -88,24 +88,19 @@ class JsonReport {
   std::vector<std::pair<std::string, std::string>> notes_;  // pre-rendered
 };
 
-/// Iteration-count steady-state measurement: runs `sample` `warmup`
-/// times unrecorded (caches, page tables and the allocator reach steady
-/// state), then `measured` times, and returns the sample minimizing
-/// `cost(sample)` — the min filters scheduler noise. Deterministic
-/// iteration counts replace wall-clock warmup deadlines, which made
-/// bench numbers (and the CI regression gate) depend on transient
-/// machine load.
-template <typename Sample, typename Cost>
-auto run_until_steady(Sample&& sample, Cost&& cost, int warmup = 1,
-                      int measured = 3) {
-  for (int i = 0; i < warmup; ++i) (void)sample();
-  auto best = sample();
-  for (int i = 1; i < measured; ++i) {
-    auto next = sample();
-    if (cost(next) < cost(best)) best = std::move(next);
-  }
-  return best;
-}
+/// Median and quartiles of one cell's repeated measurements.
+struct Spread {
+  double median = 0, q1 = 0, q3 = 0;
+};
+
+/// Runs per cell in the harnesses that report a Spread.
+inline constexpr int kRepeats = 5;
+
+/// Median and quartiles, interpolating linearly between order statistics.
+Spread spread(std::vector<double> xs);
+
+/// "median [q1, q3]", each number printed with `format` (e.g. "%.1f").
+std::string format_spread(const Spread& s, const char* format);
 
 /// Builds the standard bench JobSpec for one app under one setting.
 /// `scratch_root` must outlive the run.

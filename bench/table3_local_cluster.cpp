@@ -9,7 +9,9 @@
 // spill-matcher settings replay the same profiles through the §IV-C
 // pipeline model with the adaptive threshold. Absolute seconds depend on
 // the cpu_scale calibration constant; the *ratios* are the reproduction
-// target.
+// target. Each app's profiles are measured kRepeats times; every
+// repeat is simulated under the four settings and the table prints the
+// median [IQR] of each setting's share of that repeat's baseline.
 //
 // Paper: Combined = 60.8% of baseline for WordCount (571s -> 347s, the
 // headline "up to 39.1%"), 65.7% InvertedIndex, 98.1% WordPOSTag,
@@ -25,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "bench_util.hpp"
 
@@ -95,35 +98,50 @@ int main(int argc, char** argv) {
   bench::JsonReport report("table3_local_cluster");
   std::printf(
       "Table III — simulated local-cluster runtimes (4 settings x 6 apps)\n"
-      "cluster: 6 nodes x (2 map + 2 reduce slots), profile-calibrated\n\n");
-  std::printf("%-14s | %-16s %-16s %-16s %-16s\n", "Application", "Baseline",
-              "FreqOpt", "SpillOpt", "Combined");
-  bench::print_rule('-', 86);
+      "cluster: 6 nodes x (2 map + 2 reduce slots), profile-calibrated;\n"
+      "median [IQR] of %d profile measurements per app\n\n",
+      bench::kRepeats);
+  std::printf("%-14s | %-9s | %-20s %-20s %-20s\n", "Application",
+              "Baseline", "FreqOpt %", "SpillOpt %", "Combined %");
+  bench::print_rule('-', 92);
 
   sim::ClusterSpec cluster;  // defaults model the paper's local cluster
 
   for (const auto& app : bench::bench_apps()) {
-    // Two real measurement runs: baseline and frequency-buffering.
-    const auto [base_profile, freq_profile] = bench::measure_profiles(app);
-
     sim::SimJobConfig job;
     job.input_bytes = bench::paper_input_bytes(app);
     job.num_reducers = 12;
 
-    double seconds[4];
-    int column = 0;
-    for (const auto& setting : bench::kAllSettings) {
-      auto config = job;
-      config.use_spill_matcher = setting.matcher;
-      config.freq_table_fraction = setting.freq ? 0.3 : 0.0;
-      const auto& profile = setting.freq ? freq_profile : base_profile;
-      seconds[column++] = sim::simulate_job(profile, cluster, config).total_s;
+    // Per setting, per repeat: seconds (baseline) or % of that repeat's
+    // baseline (the other three).
+    std::vector<double> cells[4];
+    for (int r = 0; r < bench::kRepeats; ++r) {
+      // Two real measurement runs: baseline and frequency-buffering.
+      const auto [base_profile, freq_profile] = bench::measure_profiles(app);
+      double seconds[4];
+      int column = 0;
+      for (const auto& setting : bench::kAllSettings) {
+        auto config = job;
+        config.use_spill_matcher = setting.matcher;
+        config.freq_table_fraction = setting.freq ? 0.3 : 0.0;
+        const auto& profile = setting.freq ? freq_profile : base_profile;
+        seconds[column++] =
+            sim::simulate_job(profile, cluster, config).total_s;
+      }
+      cells[0].push_back(seconds[0]);
+      for (int i = 1; i < 4; ++i) {
+        cells[i].push_back(100.0 * seconds[i] / seconds[0]);
+      }
     }
 
-    std::printf("%-14s |", app.name.c_str());
-    for (int i = 0; i < 4; ++i) {
-      std::printf(" %7.0fs (%5s) ", seconds[i],
-                  bench::pct(seconds[i] / seconds[0]).c_str());
+    std::printf("%-14s | %8.0fs |", app.name.c_str(),
+                bench::spread(cells[0]).median);
+    for (int i = 1; i < 4; ++i) {
+      const bench::Spread share = bench::spread(cells[i]);
+      std::printf(" %-20s", bench::format_spread(share, "%.1f").c_str());
+      report.add_note(app.name + "." + bench::kAllSettings[i].name +
+                          ".pct_median",
+                      share.median);
     }
     std::printf("\n");
   }

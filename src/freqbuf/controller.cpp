@@ -137,6 +137,7 @@ void FreqBufferController::set_progress(double fraction) {
   switch (stage_) {
     case Stage::kPreProfile:
       if (progress_ >= config_.pre_profile_fraction && records_seen_ > 0) {
+        mr::OpScope profile(metrics_, mr::Op::kProfile);
         // Fit alpha from the exact pre-profile counts (paper §III-C).
         auto top = pre_counts_.top(pre_counts_.distinct());
         std::vector<std::uint64_t> freqs;
@@ -190,6 +191,7 @@ void FreqBufferController::enter_profile_stage() {
 }
 
 void FreqBufferController::freeze_keys() {
+  mr::OpScope profile(metrics_, mr::Op::kProfile);
   auto entries = sketch_->top(config_.top_k);
   std::vector<std::string> keys;
   keys.reserve(entries.size());
@@ -219,12 +221,12 @@ void FreqBufferController::observe(std::string_view key) {
   ++records_seen_;
   switch (stage_) {
     case Stage::kPreProfile: {
-      mr::ScopedTimer timer(metrics_, mr::Op::kProfile);
+      mr::OpScope profile(metrics_, mr::Op::kProfile);
       pre_counts_.offer(key);
       return;
     }
     case Stage::kProfile: {
-      mr::ScopedTimer timer(metrics_, mr::Op::kProfile);
+      mr::OpScope profile(metrics_, mr::Op::kProfile);
       sketch_->offer(key);
       return;
     }
@@ -247,6 +249,7 @@ void FreqBufferController::finish() {
   if (stage_ == Stage::kOptimize) return;
   if (stage_ == Stage::kPreProfile) {
     if (records_seen_ == 0) return;
+    mr::OpScope profile(metrics_, mr::Op::kProfile);
     enter_profile_stage();
     for (const auto& [key, count] : pre_counts_.top(pre_counts_.distinct())) {
       for (std::uint64_t i = 0; i < count; ++i) sketch_->offer(key);

@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
-#include "common/stopwatch.hpp"
 #include "mr/spill_buffer.hpp"
 #include "mr/spill_sorter.hpp"
 
@@ -518,8 +517,9 @@ void HashCombineShards::radix_sort(std::vector<FlushItem>& items) {
 void HashCombineShards::collect_items(std::uint32_t shard_index) {
   Shard& shard = shards_[shard_index];
   // One clock pair per shard, not per entry: the combine of staged values
-  // is the flush's share of kCombine, as in sort_and_spill.
-  const std::uint64_t t0 = combiner_ != nullptr ? monotonic_ns() : 0;
+  // is the flush's share of kCombine, as in sort_and_spill. Without a
+  // combiner, collecting the items is the sort's first step.
+  OpScope scope(metrics_, combiner_ != nullptr ? Op::kCombine : Op::kSort);
   for (std::size_t e = 0; e < shard.entries.size(); ++e) {
     Entry& entry = shard.entries[e];
     if (entry.staged != 0) {
@@ -534,13 +534,12 @@ void HashCombineShards::collect_items(std::uint32_t shard_index) {
                                      static_cast<std::uint32_t>(e),
                                      shard_index});
   }
-  if (combiner_ != nullptr) metrics_.op_ns(Op::kCombine) += monotonic_ns() - t0;
 }
 
 void HashCombineShards::write_run(obs::SpanTimer& span) {
-  const std::uint64_t t0 = monotonic_ns();
+  OpScope scope(metrics_, Op::kSort);
   radix_sort(flush_items_);
-  const std::uint64_t sorted_ns = monotonic_ns();
+  metrics_.switch_op(Op::kSpillWrite);
 
   io::SpillRunWriter writer(next_run_path_(run_sequence_++),
                             config_.num_partitions);
@@ -557,8 +556,6 @@ void HashCombineShards::write_run(obs::SpanTimer& span) {
   io::SpillRunInfo info = writer.finish();
   span.arg("records", static_cast<double>(info.records));
 
-  metrics_.op_ns(Op::kSort) += sorted_ns - t0;
-  metrics_.op_ns(Op::kSpillWrite) += monotonic_ns() - sorted_ns;
   metrics_.spilled_records += info.records;
   metrics_.spilled_bytes += info.bytes;
   metrics_.spill_count += 1;
@@ -566,7 +563,6 @@ void HashCombineShards::write_run(obs::SpanTimer& span) {
 }
 
 void HashCombineShards::flush_shard(std::uint32_t shard_index) {
-  const std::uint64_t t0 = monotonic_ns();
   Shard& shard = shards_[shard_index];
   obs::SpanTimer span(trace_, "spill", "hash_flush");
   span.arg("shard", static_cast<double>(shard_index));
@@ -605,12 +601,10 @@ void HashCombineShards::flush_shard(std::uint32_t shard_index) {
                         static_cast<double>(shard_index), "flushes",
                         static_cast<double>(shard.flush_count));
   }
-  flush_ns_ += monotonic_ns() - t0;
 }
 
 void HashCombineShards::flush_demoted(Shard& shard, bool final) {
   if (shard.spill.size() == 0) return;
-  const std::uint64_t t0 = monotonic_ns();
   // The demoted path *is* the existing sort path: build a Spill over the
   // arena's refs and reuse sort_and_spill (same sort, same combiner
   // grouping, same frame blits) so pressured shards write byte-identical
@@ -625,7 +619,6 @@ void HashCombineShards::flush_demoted(Shard& shard, bool final) {
                      config_.num_partitions, metrics_, trace_);
   runs_.push_back(std::move(info));
   shard.spill.clear();
-  flush_ns_ += monotonic_ns() - t0;
 }
 
 std::vector<io::SpillRunInfo> HashCombineShards::finish() {

@@ -56,9 +56,9 @@ struct HashCombineConfig {
 };
 
 /// The per-task shard set. Single-threaded: lives on the map thread and
-/// is driven from the emit sink; flush work (radix sort + run write) is
-/// self-timed into `flush_ns()` so the caller can subtract it from the
-/// surrounding emit interval (map_task.cpp does).
+/// is driven from the emit sink. Flush work switches the map thread's op
+/// clock (DESIGN.md §5c) to kCombine, kSort and kSpillWrite and back, so
+/// a flush inside insert() leaves the caller's emit op by construction.
 class HashCombineShards {
  public:
   /// Shards per task (routed on the key hash's high bits). One shard ran
@@ -101,11 +101,6 @@ class HashCombineShards {
   /// exactly one run: all shards' resident entries globally radix-sorted
   /// into a single file (no merge needed downstream).
   std::vector<io::SpillRunInfo> finish();
-
-  /// Time spent inside flushes so far (sort + combine + write). Read
-  /// before finish(), it is the share that ran inside insert(), so the
-  /// caller can keep pure insert cost attributable to emit.
-  std::uint64_t flush_ns() const { return flush_ns_; }
 
  private:
   struct Entry {
@@ -197,7 +192,6 @@ class HashCombineShards {
   std::vector<Shard> shards_;
   std::vector<io::SpillRunInfo> runs_;
   std::uint64_t run_sequence_ = 0;
-  std::uint64_t flush_ns_ = 0;
   // Combiner input and output as [u32 len][bytes] frames (reused). Input
   // is a snapshot: the output is placed into the heap only after the
   // combiner returns, so nothing it reads is overwritten under it.

@@ -33,51 +33,36 @@ class EmitRouter final : public EmitSink {
         metrics_(metrics) {}
 
   void emit(std::string_view key, std::string_view value) override {
-    const std::uint64_t t0 = monotonic_ns();
+    // Two clock reads per record: this scope's entry and exit.
+    OpScope scope(metrics_, Op::kEmit);
     metrics_.map_output_records += 1;
     metrics_.map_output_bytes += key.size() + value.size();
     if (freq_ != nullptr) freq_->observe(key);
-    if (freq_ == nullptr || !absorb(key, value)) {
-      ScopedTimer timer(metrics_, Op::kEmit);
-      metrics_.spill_input_records += 1;
-      metrics_.spill_input_bytes += key.size() + value.size();
-      // Partitioned here, per record, for either stage: a skew plan's
-      // split-key round-robin cursor must advance identically in both
-      // modes for byte-identical output.
-      const std::uint32_t partition = partitioner_(key);
-      if (ring_ != nullptr) {
-        ring_->put(partition, key, value);
-      } else {
-        table_->insert(partition, key, value);
-      }
+    if (freq_ != nullptr && absorb(key, value)) return;
+    metrics_.spill_input_records += 1;
+    metrics_.spill_input_bytes += key.size() + value.size();
+    // Partitioned here, per record, for either stage: a skew plan's
+    // split-key round-robin cursor must advance identically in both
+    // modes for byte-identical output.
+    const std::uint32_t partition = partitioner_(key);
+    if (ring_ != nullptr) {
+      ring_->put(partition, key, value);
+    } else {
+      table_->insert(partition, key, value);
     }
-    // Total time inside emit, used by the task to subtract framework time
-    // from the surrounding kMapUser interval (emit ops self-account).
-    inside_emit_ns_ += monotonic_ns() - t0;
   }
-
-  std::uint64_t inside_emit_ns() const { return inside_emit_ns_; }
 
  private:
   /// FreqOpt (sort path only): offers the record to the filtered table;
-  /// false sends it on to the ring. Accounted to kFreqTable by
-  /// timing one offer in 32 and scaling, so an absorbed record pays no
-  /// clock read of its own; a watermark flush inside the timed offer
-  /// self-accounts to kSort/kCombine/kSpillWrite and is left out.
+  /// false sends it on to the ring. An admitted record's whole emit() is
+  /// kFreqTable's: the relabel reads no clock, and a watermark flush
+  /// inside insert() switches out to its own ops and back.
   bool absorb(std::string_view key, std::string_view value) {
-    const bool timed = (sample_counter_++ & 31u) == 0;
-    const std::uint64_t t0 = timed ? monotonic_ns() : 0;
-    const std::uint64_t flush_ns = table_->flush_ns();
-    const bool admitted = table_->admits(key);
-    if (admitted) {
-      table_->insert(partitioner_(key), key, value);
-      metrics_.freq_hits += 1;
-    }
-    if (timed) {
-      metrics_.op_ns(Op::kFreqTable) +=
-          (monotonic_ns() - t0 - (table_->flush_ns() - flush_ns)) * 32;
-    }
-    return admitted;
+    if (!table_->admits(key)) return false;
+    metrics_.relabel_op(Op::kFreqTable);
+    table_->insert(partitioner_(key), key, value);
+    metrics_.freq_hits += 1;
+    return true;
   }
 
   SpillBuffer* ring_;
@@ -87,8 +72,6 @@ class EmitRouter final : public EmitSink {
   SkewAwarePartitioner& partitioner_;
   freqbuf::FreqBufferController* freq_;
   TaskMetrics& metrics_;
-  std::uint32_t sample_counter_ = 0;
-  std::uint64_t inside_emit_ns_ = 0;
 };
 
 /// One of this attempt's scratch files, e.g. "<scratch>/map3_a1_spill0.run".
@@ -178,8 +161,12 @@ class SpillRing {
   /// metrics, counters and the ring's idle time and spill count into
   /// `result`. Returns the runs in spill order.
   std::vector<io::SpillRunInfo> finish(MapTaskResult& result) {
-    buffer_.close();
-    join();
+    {
+      // The map thread waits here for the support threads' last spills.
+      OpScope idle(result.map_thread, Op::kMapIdle);
+      buffer_.close();
+      join();
+    }
     if (auto error = support_error()) std::rethrow_exception(error);
     for (auto& state : states_) {
       result.support_thread += state.metrics;
@@ -193,8 +180,9 @@ class SpillRing {
         runs.push_back(std::move(info));
       }
     }
-    // Map-thread emit time currently includes buffer-full waits; move them
-    // to the idle bucket (paper Table II's "map thread idle").
+    // Map-thread emit time includes buffer-full waits, which the buffer
+    // measures under its own lock; move them to the idle bucket (paper
+    // Table II's "map thread idle").
     const std::uint64_t map_wait = buffer_.producer_wait_ns();
     std::uint64_t& emit_ns = result.map_thread.op_ns(Op::kEmit);
     emit_ns -= std::min(emit_ns, map_wait);
@@ -330,7 +318,9 @@ MapTaskResult run_map_task(const MapTaskConfig& config) {
   std::filesystem::create_directories(config.scratch_dir);
 
   MapTaskResult result;
-  const std::uint64_t task_start = monotonic_ns();
+  // The map thread's clock runs from here to wall_ns: every interval of
+  // the task is charged to one of its ops.
+  const std::uint64_t task_start = result.map_thread.switch_op(Op::kMapRead);
 
   // The map thread's trace ring; SpillRing makes the spill buffer's and
   // each support thread's.
@@ -399,11 +389,9 @@ MapTaskResult run_map_task(const MapTaskConfig& config) {
     io::LineReader reader(config.split);
     std::uint64_t offset = 0;
     while (true) {
-      std::optional<std::string_view> line;
-      {
-        ScopedTimer read_timer(result.map_thread, Op::kMapRead);
-        line = reader.next_line();
-      }
+      // Two clock reads per line: into kMapRead here, into kMapUser below.
+      result.map_thread.switch_op(Op::kMapRead);
+      const std::optional<std::string_view> line = reader.next_line();
       if (!line.has_value()) break;
       result.map_thread.input_records += 1;
       result.map_thread.input_bytes += line->size() + 1;
@@ -415,10 +403,8 @@ MapTaskResult run_map_task(const MapTaskConfig& config) {
                                std::memory_order_relaxed);
       }
       TEXTMR_FAILPOINT("map.user_code");
-      {
-        ScopedTimer map_timer(result.map_thread, Op::kMapUser);
-        mapper->map(offset, *line, router);
-      }
+      result.map_thread.switch_op(Op::kMapUser);
+      mapper->map(offset, *line, router);
       ++offset;
     }
     if (freq != nullptr) {
@@ -426,11 +412,6 @@ MapTaskResult run_map_task(const MapTaskConfig& config) {
       result.freq_stage_at_end = freq->stage();
       result.freq_sampling_fraction = freq->effective_sampling_fraction();
     }
-    // map() wall time included everything emit() did (serialization,
-    // profiling, table work, buffer waits); those self-accounted, so
-    // subtract them to leave pure user code in kMapUser.
-    std::uint64_t& map_user_ns = result.map_thread.op_ns(Op::kMapUser);
-    map_user_ns -= std::min(map_user_ns, router.inside_emit_ns());
   } catch (...) {
     if (ring) ring->fail();
     throw;
@@ -438,20 +419,12 @@ MapTaskResult run_map_task(const MapTaskConfig& config) {
 
   std::vector<io::SpillRunInfo> table_runs;
   if (table) {
-    const std::uint64_t flush_in_insert = table->flush_ns();
     table_runs = table->finish();
     if (ring) {
       // FreqOpt: everything the filtered table wrote, combined.
       for (const auto& run : table_runs) {
         result.map_thread.freq_flushes += run.records;
       }
-    } else {
-      // Hash mode: watermark flushes ran inside insert(), i.e. inside the
-      // kEmit scope; their time self-accounted to kCombine/kSort/
-      // kSpillWrite, so subtract it from kEmit (finish() runs outside any
-      // emit interval).
-      std::uint64_t& emit_ns = result.map_thread.op_ns(Op::kEmit);
-      emit_ns -= std::min(emit_ns, flush_in_insert);
     }
   }
   std::vector<io::SpillRunInfo> runs;
@@ -467,7 +440,7 @@ MapTaskResult run_map_task(const MapTaskConfig& config) {
   finish_map_output(config, runs, map_combiner.get(), map_trace, result);
 
   result.counters += map_counters;
-  result.wall_ns = monotonic_ns() - task_start;
+  result.wall_ns = result.map_thread.switch_op(Op::kNumOps) - task_start;
   return result;
 }
 

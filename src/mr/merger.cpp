@@ -1,7 +1,6 @@
 #include "mr/merger.hpp"
 
 #include "common/error.hpp"
-#include "common/stopwatch.hpp"
 
 namespace textmr::mr {
 
@@ -170,8 +169,7 @@ io::SpillRunInfo merge_runs(const std::vector<io::SpillRunInfo>& runs,
                             Reducer* combiner, std::string_view out_path,
                             std::uint32_t num_partitions,
                             TaskMetrics& metrics) {
-  const std::uint64_t merge_start = monotonic_ns();
-  std::uint64_t combine_ns = 0;
+  OpScope merge(metrics, Op::kMerge);
 
   io::SpillRunWriter writer(std::string(out_path), num_partitions);
   // Scratch for the one-step lookahead below; hoisted so steady state
@@ -204,19 +202,15 @@ io::SpillRunInfo merge_runs(const std::vector<io::SpillRunInfo>& runs,
         continue;
       }
       // >= 2 values and a combiner: stream them through combine().
-      const std::uint64_t c0 = monotonic_ns();
+      OpScope combine(metrics, Op::kMergeCombine);
       second_scratch.assign(*second);
       SingleLookaheadStream tail(second_scratch, groups.values());
       SingleLookaheadStream values(first_scratch, tail);
       CombineToRunSink sink(writer, partition, *key);
       combiner->reduce(*key, values, sink);
-      combine_ns += monotonic_ns() - c0;
     }
   }
   auto info = writer.finish();
-  const std::uint64_t total_ns = monotonic_ns() - merge_start;
-  metrics.op_ns(Op::kMergeCombine) += combine_ns;
-  metrics.op_ns(Op::kMerge) += total_ns - std::min(total_ns, combine_ns);
   metrics.merged_records += info.records;
   metrics.merged_bytes += info.bytes;
   return info;

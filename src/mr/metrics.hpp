@@ -12,14 +12,18 @@ namespace textmr::mr {
 
 /// Fine-grained operation taxonomy, mirroring the paper's Table I
 /// instrumentation of Hadoop. Everything except kMapUser / kCombine /
-/// kReduceUser is pure abstraction cost.
+/// kReduceUser is pure abstraction cost. Each thread's TaskMetrics clock
+/// (below) charges every interval to exactly one op.
 enum class Op : std::size_t {
-  kMapRead = 0,     // reading + splitting input records
-  kMapUser,         // user map() code (excluding time inside emit())
-  kEmit,            // serializing records into the spill buffer
+  kMapRead = 0,     // reading + splitting input records; task setup and
+                    // teardown outside the other ops
+  kMapUser,         // user map() code (emit() switches out of it)
+  kEmit,            // emit() from entry, bar nested ops: routing, profiling
+                    // bookkeeping, the filter lookup of a declined record,
+                    // serializing into the spill buffer or the hash table
   kProfile,         // frequency-buffering profiling overhead (sketch updates)
-  kFreqTable,       // FreqOpt table path: filter lookup, staging and in-table
-                    // combines (timed 1 record in 32, scaled)
+  kFreqTable,       // FreqOpt table path: the whole emit() of an admitted
+                    // record (filter lookup, staging, in-table combines)
   kSort,            // sorting spill regions
   kCombine,         // user combine() code (spill and table-flush paths)
   kSpillWrite,      // writing sorted spill runs to disk
@@ -29,9 +33,10 @@ enum class Op : std::size_t {
   kReduceMerge,     // reduce-side merge/group of fetched runs
   kReduceUser,      // user reduce() code
   kOutputWrite,     // writing final output
-  kMapIdle,         // map thread blocked on a full spill buffer
+  kMapIdle,         // map thread blocked on the support threads (a full
+                    // spill buffer, the final spill at task end)
   kSupportIdle,     // support thread blocked waiting for a sealed spill
-  kNumOps,
+  kNumOps,          // as the clock's current op: stopped, charges nothing
 };
 
 constexpr std::size_t kNumOps = static_cast<std::size_t>(Op::kNumOps);
@@ -46,7 +51,15 @@ constexpr bool is_user_code(Op op) {
 
 /// Per-task (or per-thread) metrics. Owned by exactly one thread while a
 /// task runs; merged without locks afterwards.
-struct TaskMetrics {
+///
+/// The op clock (DESIGN.md §5c): one current op and the time of the last
+/// switch. switch_op() reads the clock once, charges the time since the
+/// last switch to the current op and makes its argument current, so a
+/// thread's ops add up to its wall time with no interval counted twice.
+/// The clock is the owning thread's alone: operator+= and the wire
+/// encoding carry only the op totals.
+class TaskMetrics {
+ public:
   std::array<std::uint64_t, kNumOps> ns{};
 
   // Volume counters.
@@ -78,12 +91,32 @@ struct TaskMetrics {
   std::uint64_t& op_ns(Op op) { return ns[static_cast<std::size_t>(op)]; }
   std::uint64_t op_ns(Op op) const { return ns[static_cast<std::size_t>(op)]; }
 
+  /// Charges the time since the last switch to the current op and makes
+  /// `op` current (Op::kNumOps stops the clock). Returns the clock reading.
+  std::uint64_t switch_op(Op op) {
+    const std::uint64_t now = monotonic_ns();
+    if (current_op_ != Op::kNumOps) op_ns(current_op_) += now - last_switch_ns_;
+    current_op_ = op;
+    last_switch_ns_ = now;
+    return now;
+  }
+
+  /// Makes `op` current without reading the clock: the time since the last
+  /// switch is charged to `op` too.
+  void relabel_op(Op op) { current_op_ = op; }
+
+  Op current_op() const { return current_op_; }
+
   TaskMetrics& operator+=(const TaskMetrics& other);
 
   /// Sum of all operation times — the paper's "serialized view" of work.
   std::uint64_t total_ns(bool include_idle = false) const;
   std::uint64_t user_ns() const;
   std::uint64_t abstraction_ns(bool include_idle = false) const;
+
+ private:
+  Op current_op_ = Op::kNumOps;
+  std::uint64_t last_switch_ns_ = 0;
 };
 
 /// Per-worker telemetry aggregated by the cluster coordinator from
@@ -178,20 +211,23 @@ struct JobMetrics {
   }
 };
 
-/// RAII timer attributing an interval to one operation of one TaskMetrics.
-class ScopedTimer {
+/// Switches `metrics`' clock to `op` for the scope's lifetime and back to
+/// the op that was current on entry. Two clock reads; nested scopes take
+/// their time out of the enclosing op by construction.
+class OpScope {
  public:
-  ScopedTimer(TaskMetrics& metrics, Op op)
-      : metrics_(metrics), op_(op), start_(monotonic_ns()) {}
-  ~ScopedTimer() { metrics_.op_ns(op_) += monotonic_ns() - start_; }
+  OpScope(TaskMetrics& metrics, Op op)
+      : metrics_(metrics), outer_(metrics.current_op()) {
+    metrics_.switch_op(op);
+  }
+  ~OpScope() { metrics_.switch_op(outer_); }
 
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
+  OpScope(const OpScope&) = delete;
+  OpScope& operator=(const OpScope&) = delete;
 
  private:
   TaskMetrics& metrics_;
-  Op op_;
-  std::uint64_t start_;
+  Op outer_;
 };
 
 }  // namespace textmr::mr

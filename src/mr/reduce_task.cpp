@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
-#include "common/stopwatch.hpp"
 #include "mr/merger.hpp"
 #include "mr/record_arena.hpp"
 #include "mr/skew_partitioner.hpp"
@@ -21,6 +20,7 @@ class OutputSink : public EmitSink {
  public:
   virtual void begin_group(std::string_view /*key*/) {}
   virtual void end_group() {}
+  /// Unscoped: run_reduce_task charges it to kOutputWrite.
   virtual void close() = 0;
 };
 
@@ -41,7 +41,7 @@ class PartFileWriter final : public OutputSink {
   }
 
   void emit(std::string_view key, std::string_view value) override {
-    const std::uint64_t t0 = monotonic_ns();
+    OpScope write(metrics_, Op::kOutputWrite);
     buffer_.append(key.data(), key.size());
     buffer_.push_back('\t');
     buffer_.append(value.data(), value.size());
@@ -49,18 +49,15 @@ class PartFileWriter final : public OutputSink {
     metrics_.output_records += 1;
     metrics_.output_bytes += key.size() + value.size() + 2;
     if (buffer_.size() >= kFlushBytes) flush();
-    metrics_.op_ns(Op::kOutputWrite) += monotonic_ns() - t0;
   }
 
   void close() override {
-    const std::uint64_t t0 = monotonic_ns();
     flush();
     if (std::fclose(file_) != 0) {
       file_ = nullptr;
       throw IoError("close failed for reduce output");
     }
     file_ = nullptr;
-    metrics_.op_ns(Op::kOutputWrite) += monotonic_ns() - t0;
   }
 
  private:
@@ -97,7 +94,7 @@ class SegmentSink final : public OutputSink {
   }
 
   void emit(std::string_view key, std::string_view value) override {
-    const std::uint64_t t0 = monotonic_ns();
+    OpScope write(metrics_, Op::kOutputWrite);
     if (kind_ == SegmentKind::kOutput) {
       blob_.append(key.data(), key.size());
       blob_.push_back('\t');
@@ -109,20 +106,16 @@ class SegmentSink final : public OutputSink {
       metrics_.output_bytes += value.size();
     }
     metrics_.output_records += 1;
-    metrics_.op_ns(Op::kOutputWrite) += monotonic_ns() - t0;
   }
 
   void end_group() override {
     if (blob_.empty()) return;  // group emitted nothing: no entry at all
-    const std::uint64_t t0 = monotonic_ns();
+    OpScope write(metrics_, Op::kOutputWrite);
     writer_.add(kind_, group_key_, blob_);
-    metrics_.op_ns(Op::kOutputWrite) += monotonic_ns() - t0;
   }
 
   void close() override {
-    const std::uint64_t t0 = monotonic_ns();
     writer_.finish();
-    metrics_.op_ns(Op::kOutputWrite) += monotonic_ns() - t0;
   }
 
  private:
@@ -133,19 +126,14 @@ class SegmentSink final : public OutputSink {
   TaskMetrics& metrics_;
 };
 
-/// Calls reduce() attributing sink time to kOutputWrite (self-accounted)
-/// and the remainder to kReduceUser.
+/// Calls reduce() as kReduceUser; the sink's writes switch out to
+/// kOutputWrite.
 void call_reduce(Reducer& reducer, std::string_view key, ValueStream& values,
                  OutputSink& out, TaskMetrics& metrics) {
-  const std::uint64_t before_sink = metrics.op_ns(Op::kOutputWrite);
-  const std::uint64_t t0 = monotonic_ns();
+  OpScope user(metrics, Op::kReduceUser);
   out.begin_group(key);
   reducer.reduce(key, values, out);
   out.end_group();
-  const std::uint64_t elapsed = monotonic_ns() - t0;
-  const std::uint64_t sink_delta =
-      metrics.op_ns(Op::kOutputWrite) - before_sink;
-  metrics.op_ns(Op::kReduceUser) += elapsed - std::min(elapsed, sink_delta);
   metrics.reduce_groups += 1;
 }
 
@@ -168,8 +156,10 @@ ReduceTaskResult run_reduce_task(const ReduceTaskConfig& config) {
   TEXTMR_CHECK(static_cast<bool>(config.reducer), "reduce task needs reducer");
   ReduceTaskResult result;
   result.output_path = config.output_path;
-  const std::uint64_t task_start = monotonic_ns();
   TaskMetrics& metrics = result.metrics;
+  // The clock runs from here to wall_ns: setup and the fetch are
+  // kShuffle's, the merge loop between reduce() calls kReduceMerge's.
+  const std::uint64_t task_start = metrics.switch_op(Op::kShuffle);
 
   obs::TraceBuffer* trace =
       config.trace != nullptr
@@ -193,7 +183,6 @@ ReduceTaskResult run_reduce_task(const ReduceTaskConfig& config) {
   fetched.reserve(config.map_outputs.size());
   {
     obs::SpanTimer shuffle_span(trace, "task", "shuffle");
-    ScopedTimer shuffle_timer(metrics, Op::kShuffle);
     std::uint32_t run_index = 0;
     for (const auto& run : config.map_outputs) {
       fetched.emplace_back();
@@ -222,6 +211,7 @@ ReduceTaskResult run_reduce_task(const ReduceTaskConfig& config) {
                      static_cast<double>(metrics.reduce_input_records));
   }
 
+  metrics.switch_op(Op::kReduceMerge);
   std::unique_ptr<Reducer> reducer = config.reducer();
   reducer->begin_task(TaskInfo{config.partition, &result.counters});
   // Crash consistency: write to an attempt temp file, rename onto the
@@ -248,32 +238,21 @@ ReduceTaskResult run_reduce_task(const ReduceTaskConfig& config) {
   for (const auto& fetch : fetched) {
     cursors.push_back(std::make_unique<MemoryRunCursor>(&fetch.refs));
   }
-  // Merge + group structural time is kReduceMerge; the group iteration
-  // interleaves with reduce() calls, so we accumulate it as
-  // total − (reduce user + output) deltas.
-  const std::uint64_t merge_start = monotonic_ns();
-  std::uint64_t user_and_output_before =
-      metrics.op_ns(Op::kReduceUser) + metrics.op_ns(Op::kOutputWrite);
   MergeStream stream(std::move(cursors));
   KeyGroups groups(stream);
   while (auto key = groups.next_group()) {
     call_reduce(*reducer, *key, groups.values(), out, metrics);
   }
-  const std::uint64_t elapsed = monotonic_ns() - merge_start;
-  const std::uint64_t user_and_output =
-      metrics.op_ns(Op::kReduceUser) + metrics.op_ns(Op::kOutputWrite) -
-      user_and_output_before;
-  metrics.op_ns(Op::kReduceMerge) +=
-      elapsed - std::min(elapsed, user_and_output);
 
   apply_span.done();
+  metrics.switch_op(Op::kOutputWrite);
   {
     obs::SpanTimer close_span(trace, "task", "output_close");
     out.close();
   }
   TEXTMR_FAILPOINT("reduce.output_rename");
   std::filesystem::rename(tmp_path, config.output_path);
-  result.wall_ns = monotonic_ns() - task_start;
+  result.wall_ns = metrics.switch_op(Op::kNumOps) - task_start;
   return result;
 }
 

@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
-#include "common/stopwatch.hpp"
 
 namespace textmr::mr {
 namespace {
@@ -61,19 +60,19 @@ io::SpillRunInfo sort_and_spill(Spill& spill, Reducer* combiner,
   {
     obs::SpanTimer sort_span(trace, "spill", "spill_sort");
     sort_span.arg("records", static_cast<double>(spill.records.size()));
-    ScopedTimer sort_timer(metrics, Op::kSort);
+    OpScope sort(metrics, Op::kSort);
     // record_ref_less decides almost every text-key pair on the
     // denormalized 8-byte prefix without touching ring memory.
     std::sort(spill.records.begin(), spill.records.end(), record_ref_less);
   }
 
   obs::SpanTimer write_span(trace, "spill", "spill_write");
+  OpScope write(metrics, Op::kSpillWrite);
+  const std::uint64_t combine_before = metrics.op_ns(Op::kCombine);
 
   io::SpillRunWriter writer(std::string(run_path), num_partitions);
   // Records are already framed in the ring, so uncombined records are
   // written as verbatim frame blits.
-  const std::uint64_t pass_start = monotonic_ns();
-  std::uint64_t combine_ns = 0;
 
   const RecordRef* const data = spill.records.data();
   const std::size_t n = spill.records.size();
@@ -85,11 +84,10 @@ io::SpillRunInfo sort_and_spill(Spill& spill, Reducer* combiner,
       ++j;
     }
     if (combiner != nullptr && j - i > 1) {
-      const std::uint64_t c0 = monotonic_ns();
+      OpScope combine(metrics, Op::kCombine);
       RefValueStream values(data + i, data + j);
       CombineToRunSink sink(writer, data[i].partition, data[i].key());
       combiner->reduce(data[i].key(), values, sink);
-      combine_ns += monotonic_ns() - c0;
     } else {
       for (std::size_t r = i; r < j; ++r) {
         writer.append_frame(data[r].partition, data[r].frame_view());
@@ -99,12 +97,12 @@ io::SpillRunInfo sort_and_spill(Spill& spill, Reducer* combiner,
   }
 
   auto info = writer.finish();
-  const std::uint64_t pass_ns = monotonic_ns() - pass_start;
   write_span.arg("records", static_cast<double>(info.records));
   write_span.arg("bytes", static_cast<double>(info.bytes));
-  write_span.arg("combine_ms", static_cast<double>(combine_ns) * 1e-6);
-  metrics.op_ns(Op::kCombine) += combine_ns;
-  metrics.op_ns(Op::kSpillWrite) += pass_ns - std::min(pass_ns, combine_ns);
+  write_span.arg("combine_ms",
+                 static_cast<double>(metrics.op_ns(Op::kCombine) -
+                                     combine_before) *
+                     1e-6);
   metrics.spilled_records += info.records;
   metrics.spilled_bytes += info.bytes;
   metrics.spill_count += 1;

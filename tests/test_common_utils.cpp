@@ -125,13 +125,49 @@ TEST(TaskMetrics, TotalsAndUserSplit) {
   EXPECT_EQ(metrics.input_records, 7u);
 }
 
-TEST(ScopedTimer, AddsElapsedToOp) {
+TEST(OpScope, NestedScopeLeavesOuterOpAndRestoresIt) {
+  mr::TaskMetrics metrics;
+  std::uint64_t outer_ns = 0;
+  {
+    const std::uint64_t start = monotonic_ns();
+    {
+      mr::OpScope outer(metrics, mr::Op::kSpillWrite);
+      EXPECT_EQ(metrics.current_op(), mr::Op::kSpillWrite);
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      {
+        mr::OpScope inner(metrics, mr::Op::kCombine);
+        EXPECT_EQ(metrics.current_op(), mr::Op::kCombine);
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+      EXPECT_EQ(metrics.current_op(), mr::Op::kSpillWrite);
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    outer_ns = monotonic_ns() - start;
+  }
+  // The clock stops with the outermost scope.
+  EXPECT_EQ(metrics.current_op(), mr::Op::kNumOps);
+  const std::uint64_t inner = metrics.op_ns(mr::Op::kCombine);
+  const std::uint64_t outer = metrics.op_ns(mr::Op::kSpillWrite);
+  EXPECT_GE(inner, 5'000'000u);
+  EXPECT_GE(outer, 4'000'000u);
+  // The inner sleep left the outer op: nothing is counted twice, and
+  // nothing is lost, so the ops sum to the outer interval (which the two
+  // reads above bracket).
+  EXPECT_LE(outer + 5'000'000u, outer_ns);
+  EXPECT_EQ(metrics.total_ns(), inner + outer);
+  EXPECT_LE(inner + outer, outer_ns);
+  EXPECT_GT(inner + outer, outer_ns - outer_ns / 100);
+}
+
+TEST(OpScope, RelabelChargesTheOpenIntervalWithoutAClockRead) {
   mr::TaskMetrics metrics;
   {
-    mr::ScopedTimer timer(metrics, mr::Op::kSort);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    mr::OpScope scope(metrics, mr::Op::kEmit);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    metrics.relabel_op(mr::Op::kFreqTable);
   }
-  EXPECT_GT(metrics.op_ns(mr::Op::kSort), 500'000u);
+  EXPECT_EQ(metrics.op_ns(mr::Op::kEmit), 0u);
+  EXPECT_GE(metrics.op_ns(mr::Op::kFreqTable), 2'000'000u);
 }
 
 TEST(HashPartitioner, CoversAllPartitionsDeterministically) {

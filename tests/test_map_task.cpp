@@ -8,6 +8,7 @@
 #include "apps/wordcount.hpp"
 #include "mr/map_task.hpp"
 #include "mr/partitioner.hpp"
+#include "textgen/corpus_gen.hpp"
 
 namespace textmr::mr {
 namespace {
@@ -269,6 +270,43 @@ TEST(MapTask, IdleTimeIsMeasured) {
             0u);
   EXPECT_GT(result.wall_ns, 0u);
   EXPECT_GE(result.wall_ns, result.pipeline_wall_ns);
+}
+
+TEST(MapTask, MapThreadOpsSumToTaskWall) {
+  // The map thread's op clock runs from task start to wall_ns, so its ops
+  // (idle included) must add up to the task's wall time in every output
+  // stage: the spill ring, FreqOpt's table in front of it, and hash mode.
+  TempDir dir;
+  textgen::CorpusSpec spec;
+  spec.total_words = 1'000'000;  // ~3 MB of Zipf(1.0) text
+  spec.vocabulary = 20'000;
+  spec.seed = 11;
+  const auto corpus = dir.file("zipf.txt");
+  const auto stats = textgen::generate_corpus(spec, corpus.string());
+  ASSERT_GT(stats.bytes, 2'500'000u);
+  for (const char* cell : {"sort", "freq", "hash"}) {
+    SCOPED_TRACE(cell);
+    auto config = base_config(dir, io::InputSplit{corpus.string(), 0,
+                                                  stats.bytes});
+    config.num_partitions = 4;
+    config.spill_buffer_bytes = 1u << 20;
+    config.scratch_dir = dir.file(std::string("scratch-") + cell);
+    if (std::string_view(cell) == "freq") {
+      config.freqbuf.enabled = true;
+      config.freqbuf.top_k = 250;
+      config.freqbuf.sampling_fraction = 0.01;
+      config.freqbuf.share_across_tasks = false;
+      config.freq_table_budget_bytes = config.spill_buffer_bytes * 3 / 10;
+    } else if (std::string_view(cell) == "hash") {
+      config.combine_mode = CombineMode::kHash;
+    }
+    const auto result = run_map_task(config);
+    const double ops = static_cast<double>(
+        result.map_thread.total_ns(/*include_idle=*/true));
+    const double wall = static_cast<double>(result.wall_ns);
+    EXPECT_NEAR(ops / wall, 1.0, 0.01)
+        << "ops " << ops * 1e-6 << " ms, wall " << wall * 1e-6 << " ms";
+  }
 }
 
 }  // namespace

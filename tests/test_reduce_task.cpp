@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <map>
 
@@ -151,6 +152,29 @@ TEST(ReduceTask, ReducerErrorPropagates) {
         });
   };
   EXPECT_THROW(run_reduce_task(config), std::runtime_error);
+}
+
+TEST(ReduceTask, OpsSumToTaskWall) {
+  // The reduce task's op clock runs from task start to wall_ns: shuffle,
+  // merge, reduce() and output writes must add up to its wall time.
+  TempDir dir;
+  std::vector<io::SpillRunInfo> outputs;
+  for (int m = 0; m < 3; ++m) {
+    io::SpillRunWriter writer(dir.file("m" + std::to_string(m)).string(), 1);
+    char key[16];
+    for (int k = 0; k < 150'000; ++k) {
+      std::snprintf(key, sizeof(key), "key%08d", k * 3 + m % 2);
+      writer.append(0, key, varint_value(static_cast<std::uint64_t>(k % 7)));
+    }
+    outputs.push_back(writer.finish());
+  }
+  const auto result = run_reduce_task(base_config(dir, outputs));
+  EXPECT_EQ(result.metrics.reduce_input_records, 450'000u);
+  const double ops =
+      static_cast<double>(result.metrics.total_ns(/*include_idle=*/true));
+  const double wall = static_cast<double>(result.wall_ns);
+  EXPECT_NEAR(ops / wall, 1.0, 0.01)
+      << "ops " << ops * 1e-6 << " ms, wall " << wall * 1e-6 << " ms";
 }
 
 }  // namespace
